@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race vet fmt lint fuzz-smoke bench bench-json bench-smoke bench-ci bench-compare stream-smoke archive-smoke experiments experiments-quick examples clean
+.PHONY: all build test test-short race vet fmt lint fuzz-smoke perfbench-test bench bench-json bench-smoke bench-ci bench-compare stream-smoke archive-smoke experiments experiments-quick examples clean
 
 all: build vet lint test
 
@@ -53,6 +53,14 @@ fuzz-smoke:
 	$(GO) test ./internal/edit -run '^$$' -fuzz '^FuzzMyersVsDP$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzSigDistance$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/recon -run '^$$' -fuzz '^FuzzReconDispatch$$' -fuzztime $(FUZZTIME)
+
+# The end-to-end benchmark's own test: every workload at a quick size, every
+# metric BENCHMARK.json names printed with its unit, and corrupted outputs
+# caught. perfbench is a module of its own (perfbench/go.mod), so the root
+# `go vet ./...` and `go test ./...` never build it; CI runs this target so a
+# change that breaks an entry point the benchmark drives fails at once.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Microbenchmarks in every package plus the table/figure reproduction
 # benchmarks at the repository root.

@@ -394,11 +394,13 @@ type (
 	// ChaosReconstructor wraps a Reconstructor with injected latency and
 	// panics.
 	ChaosReconstructor = chaos.Reconstructor
-	// ChaosChannel panics on every Nth transmitted strand, exercising the
-	// simulator worker pool's per-strand salvage path.
+	// ChaosChannel panics on one in every N transmissions, picked from each
+	// transmission's own random stream, exercising the simulator worker
+	// pool's per-strand salvage path.
 	ChaosChannel = chaos.Channel
-	// ChaosAlgorithm panics on every Nth reconstructed cluster, exercising
-	// the reconstruction worker pool's per-cluster salvage path.
+	// ChaosAlgorithm panics on one in every N reconstructed clusters, picked
+	// by a hash of their reads, exercising the reconstruction worker pool's
+	// per-cluster salvage path.
 	ChaosAlgorithm = chaos.Algorithm
 	// ChaosProcessKiller SIGKILLs the current process on the Nth strike —
 	// wire it to ArchiveHooks.OutputWritten to die exactly mid-volume.

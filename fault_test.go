@@ -90,12 +90,12 @@ func TestFacadeChaosRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ch := &dnastore.ChaosChannel{Inner: dnastore.CalibratedIID(0.02), PanicEveryN: 60}
+	alg := &dnastore.ChaosAlgorithm{Inner: dnastore.NWReconstruction{}, PanicEveryN: 12}
 	pipe := dnastore.NewPipeline(codec,
-		dnastore.SimOptions{
-			Channel:  &dnastore.ChaosChannel{Inner: dnastore.CalibratedIID(0.02), PanicEveryN: 60},
-			Coverage: dnastore.FixedCoverage(10), Seed: 5},
+		dnastore.SimOptions{Channel: ch, Coverage: dnastore.FixedCoverage(10), Seed: 5},
 		dnastore.ClusterOptions{Seed: 6},
-		&dnastore.ChaosAlgorithm{Inner: dnastore.NWReconstruction{}, PanicEveryN: 12})
+		alg)
 	pipe.Simulator = &dnastore.ChaosSimulator{
 		Inner:  pipe.Simulator,
 		Faults: dnastore.ChaosFaults{Seed: 7, DropRead: 0.02, StageLatency: time.Millisecond},
@@ -104,6 +104,9 @@ func TestFacadeChaosRoundTrip(t *testing.T) {
 	res, err := pipe.Run(data, dnastore.RunOptions{Retries: 1, BestEffort: true})
 	if err != nil {
 		t.Fatalf("chaotic run failed outright: %v", err)
+	}
+	if ch.Injected() == 0 || alg.Injected() == 0 {
+		t.Fatalf("injected %d channel and %d cluster panics, want both salvage paths exercised", ch.Injected(), alg.Injected())
 	}
 	if !bytes.Equal(res.Data, data) && !res.Report.Partial {
 		t.Fatalf("corrupted data without a damage map: %v", res.Report)

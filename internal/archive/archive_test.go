@@ -132,6 +132,21 @@ func readFileT(t *testing.T, path string) []byte {
 	return raw
 }
 
+// checkNoTempFiles fails the test if a lease-claim or atomic-write temp file,
+// or a retired lease, survived in the archive's state directory.
+func checkNoTempFiles(t *testing.T, dir string) {
+	t.Helper()
+	entries, err := os.ReadDir(Dir(dir).StatePath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.Contains(e.Name(), ".tmp") || strings.HasSuffix(e.Name(), ".stale") {
+			t.Errorf("%s survived the worker run", e.Name())
+		}
+	}
+}
+
 func TestBuildAndWorkerMatchesRunStream(t *testing.T) {
 	dir, data, ref := buildTestArchive(t, 2750, 600) // 5 volumes, last short
 	if !bytes.Equal(ref, data) {
@@ -171,6 +186,7 @@ func TestBuildAndWorkerMatchesRunStream(t *testing.T) {
 	if res2.Committed() != 0 || res2.Skipped != 5 {
 		t.Fatalf("late worker result %+v, want 5 skipped", res2)
 	}
+	checkNoTempFiles(t, dir)
 }
 
 func TestWorkerConcurrentInProcess(t *testing.T) {
@@ -217,6 +233,7 @@ func TestWorkerConcurrentInProcess(t *testing.T) {
 	if !rep.Ok() || rep.Decoded != 5 {
 		t.Fatalf("audit: %+v", rep)
 	}
+	checkNoTempFiles(t, dir)
 }
 
 // spawnWorker re-execs the test binary as a worker subprocess.

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io/fs"
 	"os"
+	"path/filepath"
 	"time"
 )
 
@@ -130,25 +131,24 @@ func marshalLease(owner string, now time.Time) []byte {
 	return raw
 }
 
-// ClaimLease attempts to claim path for owner. Exactly one claimant can win:
-// the claim is an O_EXCL create, and a stale lease (renewal older than
-// staleAfter, or unreadable) is first retired via an atomic rename that only
-// one contender can win. It returns whether the claim succeeded and whether
-// it required retiring a stale lease (a takeover).
+// ClaimLease attempts to claim path for owner. Exactly one claimant can win,
+// and the claim is published complete: its body is written to a temp file
+// of this claimant's own, which is hard-linked onto path (the link fails
+// with EEXIST while any lease exists) and then removed. A contender
+// therefore never reads a claim whose body is still being written, which it
+// would have to treat as torn and take over. A stale lease (renewal older
+// than staleAfter, or unreadable) is first retired via an atomic rename that
+// only one contender can win. It returns whether the claim succeeded and
+// whether it required retiring a stale lease (a takeover).
 func ClaimLease(path, owner string, staleAfter time.Duration) (claimed, takeover bool, err error) {
+	tmp, err := writeClaim(path, owner)
+	if err != nil {
+		return false, false, err
+	}
+	defer os.Remove(tmp) //dnalint:allow errflow -- best-effort cleanup: once linked, path holds the claim; unlinked, the claim was never published
 	for attempt := 0; attempt < 2; attempt++ {
-		f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+		err := os.Link(tmp, path)
 		if err == nil {
-			_, werr := f.Write(marshalLease(owner, time.Now()))
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				// The claim file exists but may be torn; release it so the
-				// volume is not wedged until staleness.
-				os.Remove(path) //dnalint:allow errflow -- best-effort rollback of a claim we could not record
-				return false, false, werr
-			}
 			return true, takeover, nil
 		}
 		if !errors.Is(err, fs.ErrExist) {
@@ -161,7 +161,7 @@ func ClaimLease(path, owner string, staleAfter time.Duration) (claimed, takeover
 		raw, rerr := os.ReadFile(path)
 		if rerr != nil {
 			if errors.Is(rerr, fs.ErrNotExist) {
-				continue // released between our create and read; retry
+				continue // released between our link and read; retry
 			}
 			return false, false, rerr
 		}
@@ -175,7 +175,7 @@ func ClaimLease(path, owner string, staleAfter time.Duration) (claimed, takeover
 		// Retire the stale lease. The rename is the race arbiter: of all
 		// contenders (and the possibly-still-running old owner's renewal),
 		// exactly one rename moves the file; losers see ENOENT and retry
-		// the claim loop, where they will contend on the O_EXCL create.
+		// the claim loop, where they will contend on the link.
 		stale := path + ".stale"
 		if rerr := os.Rename(path, stale); rerr != nil {
 			if errors.Is(rerr, fs.ErrNotExist) {
@@ -190,6 +190,25 @@ func ClaimLease(path, owner string, staleAfter time.Duration) (claimed, takeover
 	}
 	// Both attempts lost their race; report contention, caller backs off.
 	return false, false, nil
+}
+
+// writeClaim writes owner's lease body to a new temp file beside path, named
+// uniquely for this claim, and returns its name. Leases carry no
+// correctness, so the body is not synced.
+func writeClaim(path, owner string) (tmp string, err error) {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-claim-*")
+	if err != nil {
+		return "", err
+	}
+	_, err = f.Write(marshalLease(owner, time.Now()))
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(f.Name()) //dnalint:allow errflow -- best-effort cleanup of a claim body we could not write
+		return "", err
+	}
+	return f.Name(), nil
 }
 
 // ErrLeaseLost reports that a lease no longer records its claimant: the file

@@ -7,13 +7,15 @@
 //     simulator — read drops and read truncation. A stage panic exercises
 //     the orchestrator's panic containment (core.ErrStagePanic).
 //   - Work-item wrappers (Channel, Algorithm) decorate the units the
-//     built-in worker pools iterate over, panicking on every Nth strand or
-//     cluster. These exercise the per-item salvage paths: a panicked strand
-//     degrades to a dropout, a panicked cluster to an erasure, and the outer
-//     Reed–Solomon code absorbs both (§IV).
+//     built-in worker pools iterate over, panicking on one in every N
+//     transmissions or clusters. These exercise the per-item salvage paths:
+//     a panicked transmission drops its strand, a panicked cluster becomes
+//     an erasure, and the outer Reed–Solomon code absorbs both (§IV).
 //
-// All injection is driven by Faults.Seed and deterministic call counting,
-// so a chaotic run is exactly reproducible.
+// All injection is driven by Faults.Seed, deterministic counting of stage
+// calls, and the work items themselves (a transmission's own random stream,
+// a cluster's reads), so a chaotic run is exactly reproducible at any worker
+// count.
 package chaos
 
 import (
@@ -54,9 +56,9 @@ type Faults struct {
 	// work happens. The injected sleep honours context cancellation, so
 	// deadline tests abort promptly.
 	StageLatency time.Duration
-	// PanicEveryN makes every Nth wrapped invocation panic: stage calls for
-	// the stage wrappers, per-strand transmissions for Channel, per-cluster
-	// consensus calls for Algorithm. 0 never panics.
+	// PanicEveryN makes every Nth wrapped stage call panic. (Channel and
+	// Algorithm carry their own PanicEveryN, which picks one in every N
+	// transmissions or clusters.) 0 never panics.
 	PanicEveryN int
 }
 
@@ -89,6 +91,32 @@ func (c *counter) tick(every int) bool {
 		return false
 	}
 	return c.n.Add(1)%int64(every) == 0
+}
+
+// pickItem reports whether a work item drawing h, a uniform 64-bit value, is
+// an injection point for a wrapper that panics on one in every items. Worker
+// pools call the work-item wrappers in whatever order the schedule gives, so
+// a shared call counter would pick different items from run to run; h comes
+// from the item itself instead.
+func pickItem(h uint64, every int) bool {
+	return every > 0 && h%uint64(every) == 0
+}
+
+// hashReads hashes a cluster's reads to a uniform 64-bit value: FNV-1a over
+// the bases with a separator after each read, spread by Murmur3's finalizer.
+func hashReads(reads []dna.Seq) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037) // FNV-1a offset basis
+	for _, r := range reads {
+		for _, b := range r {
+			h = (h ^ uint64(b)) * prime
+		}
+		h = (h ^ 0xff) * prime
+	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	return h
 }
 
 // sleepCtx sleeps for d unless ctx is cancelled first.
@@ -245,43 +273,55 @@ func (r *Reconstructor) ReconstructAll(ctx context.Context, clusters [][]dna.Seq
 // Name implements core.Reconstructor.
 func (r *Reconstructor) Name() string { return "chaos(" + r.Inner.Name() + ")" }
 
-// Channel wraps a sim.Channel, panicking on every Nth transmitted strand —
-// inside the simulation worker pool, where the per-strand salvage path must
-// contain it as a dropout. Use a pointer so the counter is shared.
+// Channel wraps a sim.Channel, panicking on one in every PanicEveryN
+// transmissions — inside the simulation worker pool, where the per-strand
+// salvage path must contain it as a dropout. Each transmission decides from a
+// copy of its own random stream, so the same transmissions fail at any worker
+// count and the inner channel draws exactly what it would unwrapped. Use a
+// pointer so the injection count is shared.
 type Channel struct {
 	Inner       sim.Channel
 	PanicEveryN int
-	calls       counter
+	injected    atomic.Int64
 }
 
 // Transmit implements sim.Channel.
 func (c *Channel) Transmit(rng *xrand.RNG, strand dna.Seq) dna.Seq {
-	if c.calls.tick(c.PanicEveryN) {
+	peek := *rng
+	if pickItem(peek.Uint64(), c.PanicEveryN) {
+		c.injected.Add(1)
 		panic("chaos: injected channel panic")
 	}
 	return c.Inner.Transmit(rng, strand)
 }
 
+// Injected returns the number of panics the channel has injected.
+func (c *Channel) Injected() int64 { return c.injected.Load() }
+
 // Name implements sim.Channel.
 func (c *Channel) Name() string { return "chaos(" + c.Inner.Name() + ")" }
 
-// Algorithm wraps a recon.Algorithm, panicking on every Nth reconstructed
-// cluster — inside the reconstruction worker pool, where the per-cluster
-// salvage path must contain it as an erasure. Use a pointer so the counter
-// is shared.
+// Algorithm wraps a recon.Algorithm, panicking on one in every PanicEveryN
+// clusters, picked by a hash of the cluster's reads — inside the
+// reconstruction worker pool, where the per-cluster salvage path must contain
+// it as an erasure. Use a pointer so the injection count is shared.
 type Algorithm struct {
 	Inner       recon.Algorithm
 	PanicEveryN int
-	calls       counter
+	injected    atomic.Int64
 }
 
 // Reconstruct implements recon.Algorithm.
 func (a *Algorithm) Reconstruct(reads []dna.Seq, targetLen int) dna.Seq {
-	if a.calls.tick(a.PanicEveryN) {
+	if pickItem(hashReads(reads), a.PanicEveryN) {
+		a.injected.Add(1)
 		panic("chaos: injected reconstruction panic")
 	}
 	return a.Inner.Reconstruct(reads, targetLen)
 }
+
+// Injected returns the number of panics the algorithm has injected.
+func (a *Algorithm) Injected() int64 { return a.injected.Load() }
 
 // Name implements recon.Algorithm.
 func (a *Algorithm) Name() string { return "chaos(" + a.Inner.Name() + ")" }

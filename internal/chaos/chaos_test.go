@@ -30,12 +30,15 @@ func testCodec(t *testing.T) *codec.Codec {
 
 // chaoticPipeline assembles a pipeline whose simulator drops and truncates
 // reads, whose channel and reconstruction algorithm panic periodically inside
-// the worker pools, and whose stages all sleep a little.
-func chaoticPipeline(t *testing.T, f Faults) *core.Pipeline {
+// the worker pools, and whose stages all sleep a little. The channel and
+// algorithm wrappers come back too, so tests can count their panics.
+func chaoticPipeline(t *testing.T, f Faults) (*core.Pipeline, *Channel, *Algorithm) {
 	t.Helper()
 	c := testCodec(t)
+	ch := &Channel{Inner: sim.CalibratedIID(0.02), PanicEveryN: 70}
+	alg := &Algorithm{Inner: recon.NW{}, PanicEveryN: 15}
 	inner := core.PoolSimulator{Options: sim.Options{
-		Channel:  &Channel{Inner: sim.CalibratedIID(0.02), PanicEveryN: 70},
+		Channel:  ch,
 		Coverage: sim.FixedCoverage(10),
 		Seed:     211,
 	}}
@@ -44,10 +47,10 @@ func chaoticPipeline(t *testing.T, f Faults) *core.Pipeline {
 		Simulator: &Simulator{Inner: inner, Faults: f},
 		Clusterer: &Clusterer{Inner: core.OptionsClusterer{Options: cluster.Options{Seed: 223}}, Faults: Faults{StageLatency: f.StageLatency}},
 		Reconstructor: &Reconstructor{
-			Inner:  core.AlgorithmReconstructor{Algorithm: &Algorithm{Inner: recon.NW{}, PanicEveryN: 15}},
+			Inner:  core.AlgorithmReconstructor{Algorithm: alg},
 			Faults: Faults{StageLatency: f.StageLatency},
 		},
-	}
+	}, ch, alg
 }
 
 func TestChaoticRunSurvives(t *testing.T) {
@@ -56,7 +59,7 @@ func TestChaoticRunSurvives(t *testing.T) {
 	// crashing and either recover the file bit-exact or return partial data
 	// whose damage map accurately brackets the corruption.
 	data := bytes.Repeat([]byte("chaos engineering for dna storage! "), 12)
-	p := chaoticPipeline(t, Faults{
+	p, ch, alg := chaoticPipeline(t, Faults{
 		Seed:         307,
 		DropRead:     0.03,
 		TruncateRead: 0.02,
@@ -65,6 +68,9 @@ func TestChaoticRunSurvives(t *testing.T) {
 	res, err := p.Run(data, core.RunOptions{Retries: 2, BestEffort: true})
 	if err != nil {
 		t.Fatalf("chaotic run failed outright: %v", err)
+	}
+	if ch.Injected() == 0 || alg.Injected() == 0 {
+		t.Fatalf("injected %d channel and %d cluster panics, want both salvage paths exercised", ch.Injected(), alg.Injected())
 	}
 	if bytes.Equal(res.Data, data) {
 		return // fully recovered despite the chaos: the ideal outcome
@@ -93,12 +99,16 @@ func TestChaoticRunSurvives(t *testing.T) {
 
 func TestChaosIsDeterministic(t *testing.T) {
 	data := bytes.Repeat([]byte("replayable faults"), 10)
-	run := func() (core.Result, error) {
-		p := chaoticPipeline(t, Faults{Seed: 311, DropRead: 0.05, TruncateRead: 0.05})
-		return p.Run(data, core.RunOptions{Retries: 1, BestEffort: true})
+	run := func() (core.Result, error, [2]int64) {
+		p, ch, alg := chaoticPipeline(t, Faults{Seed: 311, DropRead: 0.05, TruncateRead: 0.05})
+		res, err := p.Run(data, core.RunOptions{Retries: 1, BestEffort: true})
+		return res, err, [2]int64{ch.Injected(), alg.Injected()}
 	}
-	a, errA := run()
-	b, errB := run()
+	a, errA, injA := run()
+	b, errB, injB := run()
+	if injA[0] == 0 || injA[1] == 0 || injA != injB {
+		t.Fatalf("injected [channel cluster] panics %v then %v, want the same non-zero counts", injA, injB)
+	}
 	if (errA == nil) != (errB == nil) {
 		t.Fatalf("outcomes diverged: %v vs %v", errA, errB)
 	}

@@ -145,15 +145,23 @@ func (b BMA) ReconstructScratch(sc *Scratch, reads []dna.Seq, targetLen int) dna
 	if degenerate(reads, targetLen) {
 		return nil
 	}
-	return bmaForward(sc, reads, targetLen, b.lookahead())
+	return bmaForward(sc, make(dna.Seq, 0, targetLen), reads, targetLen, b.lookahead())
 }
 
-// bmaForward runs the left-to-right BMA-lookahead consensus. The pointer,
-// predicted-consensus and insertion-hypothesis buffers come from the
-// scratch; only the consensus itself is allocated.
+// bmaForward appends up to n bases of the left-to-right BMA-lookahead
+// consensus to out and returns the extended slice. Callers give out the
+// capacity for all n bases, so the consensus is the caller's one allocation;
+// the pointer, predicted-consensus and insertion-hypothesis buffers come
+// from the scratch.
+//
+// Where every live read shows the voted base, no read is realigned and the
+// lookahead prediction would go unread, so the loop takes the whole
+// unanimous run at once (unanimousRun) instead of one position per round.
+// The output is bit-identical to the one-position loop, which the tests keep
+// as bmaForwardRef and pin this one to.
 //
 //dnalint:hotpath
-func bmaForward(sc *Scratch, reads []dna.Seq, targetLen int, w int) dna.Seq {
+func bmaForward(sc *Scratch, out dna.Seq, reads []dna.Seq, n int, w int) dna.Seq {
 	sc.ptr = growInts(sc.ptr, len(reads))
 	ptr := sc.ptr
 	for i := range ptr {
@@ -165,8 +173,8 @@ func bmaForward(sc *Scratch, reads []dna.Seq, targetLen int, w int) dna.Seq {
 	}
 	future := sc.future[:w]
 	insBuf := sc.insBuf[:w]
-	out := make(dna.Seq, 0, targetLen) //dnalint:allow hotpathalloc -- the consensus escapes to the caller; one allocation per cluster by design
-	for len(out) < targetLen {
+	end := len(out) + n
+	for len(out) < end {
 		// Majority vote at the current pointers.
 		var votes [dna.NumBases]int
 		active := 0
@@ -184,6 +192,18 @@ func bmaForward(sc *Scratch, reads []dna.Seq, targetLen int, w int) dna.Seq {
 			if votes[bb] > votes[best] {
 				best = bb
 			}
+		}
+		if votes[best] == active {
+			// Unanimous: every live read advances by one on each position
+			// of the run, and the live set cannot change inside it.
+			run := unanimousRun(reads, ptr, end-len(out))
+			out = append(out, run...) //dnalint:allow hotpathalloc -- appends into the caller's pre-sized consensus buffer
+			for r, p := range ptr {
+				if p < len(reads[r]) {
+					ptr[r] = p + len(run)
+				}
+			}
+			continue
 		}
 		// Predicted upcoming consensus: per-offset majority over the reads
 		// that agree with the vote (their next bases), falling back to all
@@ -212,7 +232,7 @@ func bmaForward(sc *Scratch, reads []dna.Seq, targetLen int, w int) dna.Seq {
 			}
 			future[k] = f
 		}
-		out = append(out, best) //dnalint:allow hotpathalloc -- appends into the pre-sized consensus buffer above
+		out = append(out, best) //dnalint:allow hotpathalloc -- appends into the caller's pre-sized consensus buffer
 		// Advance pointers, realigning disagreeing reads by the most likely
 		// edit (§VII-A).
 		for r := range ptr {
@@ -245,6 +265,38 @@ func bmaForward(sc *Scratch, reads []dna.Seq, targetLen int, w int) dna.Seq {
 		}
 	}
 	return out
+}
+
+// unanimousRun returns the run of consensus bases, starting at the
+// pointers, on which every live read (ptr[r] < len(reads[r])) shows the same
+// base, as a subslice of the first live read. The run is capped at limit and
+// at the shortest live remainder, so no read leaves the live set inside it.
+// The caller has already seen the live reads agree at the pointers, so the
+// run is at least one base long.
+//
+//dnalint:hotpath
+func unanimousRun(reads []dna.Seq, ptr []int, limit int) dna.Seq {
+	from := -1
+	for r, p := range ptr {
+		if rem := len(reads[r]) - p; rem > 0 {
+			if from < 0 {
+				from = r
+			}
+			limit = min(limit, rem)
+		}
+	}
+	run := reads[from][ptr[from]:][:limit]
+	for r := from + 1; r < len(ptr); r++ {
+		if p := ptr[r]; p < len(reads[r]) {
+			other := reads[r][p:][:len(run)]
+			n := 0
+			for n < len(run) && run[n] == other[n] {
+				n++
+			}
+			run = run[:n]
+		}
+	}
+	return run
 }
 
 // matchScore counts matches of read[from:] against the expected bases,
@@ -305,17 +357,16 @@ func (d DoubleSidedBMA) Reconstruct(reads []dna.Seq, targetLen int) dna.Seq {
 }
 
 // ReconstructScratch implements ScratchReconstructor. The per-read reversal
-// buffers live in per-worker scratch slots (sc.reversed), so the right-half
-// pass costs no slice-of-slices allocation per cluster — the regression this
-// fixes allocated len(reads)+1 sequences per call.
+// buffers live in per-worker scratch slots (sc.reversed), and both halves
+// are appended into one consensus buffer, so with a warm scratch the
+// consensus is the call's only allocation.
 func (d DoubleSidedBMA) ReconstructScratch(sc *Scratch, reads []dna.Seq, targetLen int) dna.Seq {
 	if degenerate(reads, targetLen) {
 		return nil
 	}
 	w := BMA{Lookahead: d.Lookahead}.lookahead()
 	leftLen := (targetLen + 1) / 2
-	rightLen := targetLen - leftLen
-	left := bmaForward(sc, reads, leftLen, w)
+	out := bmaForward(sc, make(dna.Seq, 0, targetLen), reads, leftLen, w)
 	if cap(sc.reversed) < len(reads) {
 		grown := make([]dna.Seq, len(reads))
 		copy(grown, sc.reversed) // keep the capacity of existing slots
@@ -331,11 +382,11 @@ func (d DoubleSidedBMA) ReconstructScratch(sc *Scratch, reads []dna.Seq, targetL
 		reverseInto(buf, r)
 		rev[i] = buf
 	}
-	right := bmaForward(sc, rev, rightLen, w)
-	reverseInPlace(right) // bmaForward returns a fresh buffer, safe in place
-	out := make(dna.Seq, 0, len(left)+len(right))
-	out = append(out, left...)
-	out = append(out, right...)
+	// The left half may stop short when the cluster runs out; the right
+	// half follows directly after whatever it produced.
+	mid := len(out)
+	out = bmaForward(sc, out, rev, targetLen-leftLen, w)
+	reverseInPlace(out[mid:])
 	return out
 }
 
@@ -415,7 +466,7 @@ func (a Adaptive) reconstruct(sc *Scratch, reads []dna.Seq, targetLen int) (dna.
 		return nil, false
 	}
 	w := BMA{Lookahead: a.Lookahead}.lookahead()
-	cons := bmaForward(sc, reads, targetLen, w)
+	cons := bmaForward(sc, make(dna.Seq, 0, targetLen), reads, targetLen, w)
 	if a.agrees(sc, reads, cons, targetLen) {
 		return cons, false
 	}
