@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race vet fmt lint fuzz-smoke perfbench-test bench bench-json bench-smoke bench-ci bench-compare stream-smoke archive-smoke experiments experiments-quick examples clean
+.PHONY: all build test test-short race vet fmt lint fuzz-smoke perfbench-test bench stream-smoke archive-smoke experiments experiments-quick examples clean
 
 all: build vet lint test
 
@@ -66,38 +66,6 @@ perfbench-test:
 # benchmarks at the repository root.
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./...
-
-# Stage-throughput harness: strands/sec, bytes/sec and allocs/op per
-# pipeline stage, with the frozen seed kernels as the allocation baseline,
-# plus the end-to-end streaming benchmark (peak heap, overlap ratio, batch
-# comparison at 1/16/64 MiB — the full run takes a few minutes).
-# Emits the BENCH_*.json trajectory the ROADMAP re-anchor reads.
-BENCH_JSON ?= BENCH_pr9.json
-bench-json:
-	$(GO) run ./cmd/experiments -run throughput -bench-json $(BENCH_JSON)
-
-# CI smoke variant: unit-test scale stages and a 1 MiB streaming run,
-# guards against accidental quadratic regressions while still uploading a
-# comparable artifact.
-bench-smoke:
-	$(GO) run ./cmd/experiments -run throughput -quick -bench-json $(BENCH_JSON)
-
-# CI stage-benchmark variant: full-scale stage/edit-kernel rows (so they are
-# comparable against the committed baseline and enforceable) but no
-# streaming runs, which remain a local full-scale measurement.
-bench-ci:
-	$(GO) run ./cmd/experiments -run throughput -stream-mib off -bench-json $(BENCH_JSON)
-
-# Diff the freshly measured bench JSON against the committed previous one:
-# fails on a >20% rate drop in any stage, edit-kernel or stream row when the
-# two runs share a config, warns (exit 0) when they don't (e.g. quick CI run
-# vs the committed full-scale baseline). BENCH_ENFORCE narrows which rows
-# block: CI passes "cluster,edit-kernel,recon" so those rows fail the build
-# while the rest stay advisory; empty (the default) blocks on every row.
-BENCH_PREV ?= BENCH_pr8.json
-BENCH_ENFORCE ?=
-bench-compare:
-	$(GO) run ./cmd/benchcompare -old $(BENCH_PREV) -new $(BENCH_JSON) -enforce "$(BENCH_ENFORCE)"
 
 # 16 MiB end-to-end streaming round trip under the race detector with a
 # GOMEMLIMIT far below what the batch path would need — the CI proof that

@@ -1,11 +1,15 @@
 package bench
 
 import (
+	"reflect"
 	"testing"
 
 	"dnastore/internal/align"
+	"dnastore/internal/cluster"
 	"dnastore/internal/dna"
 	"dnastore/internal/edit"
+	"dnastore/internal/recon"
+	"dnastore/internal/sim"
 	"dnastore/internal/xrand"
 )
 
@@ -111,66 +115,150 @@ func TestPOAParityWithSeed(t *testing.T) {
 	}
 }
 
-// TestThroughputQuick runs the harness at CI scale and checks the shape and
-// the two acceptance properties: consensus identical to seed, and the
-// reconstruction kernel allocating ≥3× less than the seed implementation.
+// TestThroughputQuick holds the stage kernels to their oracles at one
+// operating point: 120 strands × 110 nt, coverage 8, 3% IID error, seed 7.
+// Clustering must match the map-based reference, every pooled
+// reconstruction its reference, the POA consensus the frozen seed
+// implementation at ≥3× fewer allocations, and the bit-parallel edit kernel
+// the DP kernel.
 func TestThroughputQuick(t *testing.T) {
-	res := Throughput(QuickThroughput())
-	for _, stage := range []string{"encode", "simulate", "edit-distance", "cluster", "reconstruct-nw", "reconstruct-bma", "decode"} {
-		s := res.Stage(stage)
-		if s.Stage == "" {
-			t.Fatalf("stage %q missing from result", stage)
+	const (
+		strands   = 120
+		strandLen = 110
+		coverage  = 8
+		errorRate = 0.03
+		seed      = 7
+	)
+	// pool simulates the reads of strands×mult fresh strands.
+	pool := func(mult int) []dna.Seq {
+		rng := xrand.Derive(seed, 0x5ca1e+uint64(mult))
+		src := make([]dna.Seq, strands*mult)
+		for i := range src {
+			src[i] = dna.Random(rng, strandLen)
 		}
-		if s.Items <= 0 {
-			t.Errorf("stage %q has no items", stage)
+		return sim.Sequences(sim.SimulatePool(src, sim.Options{
+			Channel:  sim.CalibratedIID(errorRate),
+			Coverage: sim.FixedCoverage(coverage),
+			Seed:     seed + 1,
+		}))
+	}
+
+	// Clustering: memberships and decision counters equal the reference at
+	// 960, 9 600 and 38 400 reads. The larger two are the only pools in the
+	// suite where the straggler sweep's candidate limit,
+	// max(SweepCandidates, clusters/20), rises above its floor of 32.
+	var clusters [][]dna.Seq
+	for _, mult := range []int{1, 10, 40} {
+		rs := pool(mult)
+		opts := cluster.Options{Seed: seed + 3}
+		got := cluster.Cluster(rs, opts)
+		opts.Reference = true
+		want := cluster.Cluster(rs, opts)
+		if !reflect.DeepEqual(got.Clusters, want.Clusters) {
+			t.Errorf("%d reads: cluster memberships differ from the reference", len(rs))
 		}
-		if s.Seconds < 0 || s.ItemsPerSec < 0 {
-			t.Errorf("stage %q has negative rate", stage)
+		g, w := got.Stats, want.Stats
+		if g.Merges != w.Merges || g.CheapMerges != w.CheapMerges || g.EditDistanceCalls != w.EditDistanceCalls {
+			t.Errorf("%d reads: decision counters {M:%d CM:%d ED:%d}, reference {M:%d CM:%d ED:%d}",
+				len(rs), g.Merges, g.CheapMerges, g.EditDistanceCalls, w.Merges, w.CheapMerges, w.EditDistanceCalls)
 		}
-	}
-	if !res.ConsensusIdentical {
-		t.Error("scratch POA consensus differs from seed implementation")
-	}
-	nw := res.Stage("reconstruct-nw")
-	if nw.SeedAllocsPerOp <= 0 {
-		t.Fatal("reconstruct-nw seed alloc probe missing")
-	}
-	if nw.AllocRatio < 3 {
-		t.Errorf("reconstruct-nw alloc ratio %.1fx, want >= 3x (current %.1f, seed %.1f)",
-			nw.AllocRatio, nw.AllocsPerOp, nw.SeedAllocsPerOp)
-	}
-	ed := res.Stage("edit-distance")
-	if ed.AllocsPerOp > 0.5 {
-		t.Errorf("edit-distance scratch kernel allocates %.1f/op, want ~0", ed.AllocsPerOp)
-	}
-	if len(res.EditKernels) != 3 {
-		t.Fatalf("edit-kernel microbench has %d rows, want 3", len(res.EditKernels))
-	}
-	for _, e := range res.EditKernels {
-		if !e.Agree {
-			t.Errorf("edit kernels disagree at read length %d", e.ReadLen)
-		}
-		if e.DPPairsPerSec <= 0 || e.BPPairsPerSec <= 0 {
-			t.Errorf("edit-kernel row at length %d has zero rate", e.ReadLen)
-		}
-	}
-	if len(res.ClusterScale) != len(clusterScaleMults) {
-		t.Fatalf("cluster scaling has %d rows, want %d", len(res.ClusterScale), len(clusterScaleMults))
-	}
-	for _, cs := range res.ClusterScale {
-		if !cs.Identical {
-			t.Errorf("cluster/%d output not identical (checked vs %s)", cs.Reads, cs.IdenticalVs)
-		}
-		if cs.Reads <= 0 || cs.Clusters <= 0 || cs.ReadsPerSec <= 0 {
-			t.Errorf("cluster/%d row has empty fields: %+v", cs.Reads, cs)
+		if mult == 1 {
+			for _, members := range got.Clusters {
+				cl := make([]dna.Seq, len(members))
+				for j, m := range members {
+					cl[j] = rs[m]
+				}
+				clusters = append(clusters, cl)
+			}
 		}
 	}
-	// The harness rows are views over the obs registry; the cross-check that
-	// cmd/benchcompare runs on every BENCH file must hold here too.
-	if err := VerifyMetrics(res); err != nil {
-		t.Errorf("metrics/harness row mismatch: %v", err)
+
+	// Reconstruction: every pooled, scratch-reusing run equals its reference
+	// on every cluster. Adaptive must equal the output of whichever of its
+	// two paths it selected.
+	nw := recon.ReconstructAll(clusters, strandLen, recon.NW{}, 0)
+	bma := recon.ReconstructAll(clusters, strandLen, recon.BMA{}, 0)
+	dbma := recon.ReconstructAll(clusters, strandLen, recon.DoubleSidedBMA{}, 0)
+	adaptive := recon.ReconstructAll(clusters, strandLen, recon.Adaptive{}, 0)
+	reused := align.NewGraph()
+	exhaustive := align.NewGraph()
+	exhaustive.SetReferenceDP(true)
+	perCall := func(f func([]dna.Seq, int) dna.Seq) []dna.Seq {
+		out := make([]dna.Seq, len(clusters))
+		for i, cl := range clusters {
+			out[i] = f(cl, strandLen)
+		}
+		return out
 	}
-	if ek := res.MetricsStage("edit-kernel"); ek.Calls < 6 {
-		t.Errorf("edit-kernel snapshot has %d calls, want >= 6 (2 kernels x 3 lengths)", ek.Calls)
+	for _, c := range []struct {
+		name      string
+		got, want []dna.Seq
+	}{
+		{"NW vs a reused Graph", nw, perCall(reused.ConsensusOf)},
+		{"NW vs the seed POA", nw, perCall(refConsensus)},
+		{"NW vs the exhaustive-DP kernel", nw, perCall(exhaustive.ConsensusOf)},
+		{"BMA vs per-call BMA", bma, perCall(recon.BMA{}.Reconstruct)},
+		{"DBMA vs per-call DBMA", dbma, perCall(recon.DoubleSidedBMA{}.Reconstruct)},
+	} {
+		bad := 0
+		for i := range c.got {
+			if !c.got[i].Equal(c.want[i]) {
+				bad++
+			}
+		}
+		if bad > 0 {
+			t.Errorf("%s: differs on %d of %d clusters", c.name, bad, len(clusters))
+		}
+	}
+	for i := range adaptive {
+		if !adaptive[i].Equal(bma[i]) && !adaptive[i].Equal(nw[i]) {
+			t.Errorf("cluster %d: Adaptive equals neither BMA nor NW", i)
+		}
+	}
+
+	// Allocations: the reused graph allocates at least 3× less than the seed
+	// POA on the largest cluster, and a warm edit scratch allocates nothing
+	// on a pair of reads of one strand, which runs the kernel to the end.
+	probe := clusters[0]
+	for _, cl := range clusters {
+		if len(cl) > len(probe) {
+			probe = cl
+		}
+	}
+	cur := testing.AllocsPerRun(5, func() { reused.ConsensusOf(probe, strandLen) })
+	seedAllocs := testing.AllocsPerRun(5, func() { refConsensus(probe, strandLen) })
+	if seedAllocs < 3*max(cur, 1) {
+		t.Errorf("NW allocates %.0f/op on a %d-read cluster, seed POA %.0f/op: want at least 3x fewer",
+			cur, len(probe), seedAllocs)
+	}
+	var es edit.Scratch
+	if n := testing.AllocsPerRun(100, func() { es.Within(probe[0], probe[1], strandLen/4) }); n != 0 {
+		t.Errorf("warm edit.Scratch.Within allocates %.0f/op, want 0", n)
+	}
+
+	// Edit kernels: WithinDP and WithinBP agree on 200 pairs of mutated
+	// copies at each length, with the clustering hot path's k = len/4.
+	rng := xrand.New(seed + 9)
+	for _, n := range []int{64, 150, 300} {
+		k := n / 4
+		copies := make([]dna.Seq, 64)
+		base := dna.Random(rng, n)
+		for i := range copies {
+			s := base.Clone()
+			for e := 0; e < n/20+1; e++ {
+				s[rng.Intn(n)] = dna.Base(rng.Intn(4))
+			}
+			copies[i] = s
+		}
+		prng := xrand.New(seed + 11)
+		for i := 0; i < 200; i++ {
+			a, b := copies[prng.Intn(len(copies))], copies[prng.Intn(len(copies))]
+			dd, dok := es.WithinDP(a, b, k)
+			bd, bok := es.WithinBP(a, b, k)
+			if dd != bd || dok != bok {
+				t.Errorf("length %d, pair %d: WithinDP (%d, %v), WithinBP (%d, %v)", n, i, dd, dok, bd, bok)
+				break
+			}
+		}
 	}
 }

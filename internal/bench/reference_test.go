@@ -7,8 +7,8 @@ package bench
 //
 //   - the parity property tests prove the scratch-reusing kernels in
 //     internal/edit and internal/align are bit-identical to these,
-//   - the throughput harness measures allocs/op of seed vs current to track
-//     the ≥3× reduction acceptance target in BENCH_*.json.
+//   - TestThroughputQuick measures allocs/op of seed vs current to hold
+//     the ≥3× reduction acceptance target.
 
 import (
 	"sort"

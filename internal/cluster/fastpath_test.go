@@ -347,9 +347,8 @@ func TestRoundRunnerZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkClusterStage times the full clustering call at the throughput
-// benchmark's default operating point (600 strands × coverage 8 = 4800 reads
-// of ~110 bases), fast path vs reference.
+// BenchmarkClusterStage times the full clustering call on 600 strands ×
+// coverage 8 = 4800 reads of ~110 bases, fast path vs reference.
 func BenchmarkClusterStage(b *testing.B) {
 	reads, _ := makePool(10, 600, 110, 8, 0.03)
 	for _, ref := range []bool{false, true} {

@@ -3,9 +3,9 @@ package cluster
 import (
 	"context"
 	"sort"
-	"sync"
 
 	"dnastore/internal/dna"
+	"dnastore/internal/exec"
 	"dnastore/internal/xrand"
 )
 
@@ -54,33 +54,28 @@ func ShardedContext(ctx context.Context, reads []dna.Seq, shards int, opts Optio
 
 	// Phase 1: independent per-shard clustering.
 	shardResults := make([]Result, shards)
-	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			defer func() {
-				if recover() != nil {
-					// Salvage the failed shard as singletons; the meta
-					// round gets a chance to re-attach every read.
-					singles := make([][]int, len(shardReads[s]))
-					for i := range singles {
-						singles[i] = []int{i}
-					}
-					shardResults[s] = Result{Clusters: singles}
-				}
-			}()
-			shardOpts := opts
-			shardOpts.Seed = xrand.Derive(o.Seed, uint64(s)).Uint64()
-			// Shards emulate separate machines; each keeps its own workers.
-			shardOpts.Workers = (o.Workers + shards - 1) / shards
-			//dnalint:allow errflow -- cancellation is re-checked via context.Cause after wg.Wait; a cancelled shard's partial result is discarded there
-			shardResults[s], _ = ClusterContext(ctx, shardReads[s], shardOpts)
-		}(s)
-	}
-	wg.Wait()
+	exec.ParallelFor(ctx, shards, shards, func(s int) {
+		shardOpts := opts
+		shardOpts.Seed = xrand.Derive(o.Seed, uint64(s)).Uint64()
+		// Shards emulate separate machines; each keeps its own workers.
+		shardOpts.Workers = (o.Workers + shards - 1) / shards
+		//dnalint:allow errflow -- cancellation is re-checked via context.Cause after the parallel-for; a cancelled shard's partial result is discarded there
+		shardResults[s], _ = ClusterContext(ctx, shardReads[s], shardOpts)
+	})
 	if err := context.Cause(ctx); err != nil {
 		return Result{}, err
+	}
+	// A shard that completed holds at least two reads and so returned
+	// clusters; nil Clusters means its clustering panicked. Salvage it as
+	// singletons, which the meta round gets a chance to re-attach.
+	for s, res := range shardResults {
+		if res.Clusters == nil {
+			singles := make([][]int, len(shardReads[s]))
+			for i := range singles {
+				singles[i] = []int{i}
+			}
+			shardResults[s] = Result{Clusters: singles}
+		}
 	}
 
 	// Phase 2: cluster the shard-cluster representatives globally.
@@ -115,6 +110,7 @@ func ShardedContext(ctx context.Context, reads []dna.Seq, shards int, opts Optio
 	}
 	stats.EditDistanceCalls += meta.Stats.EditDistanceCalls
 	stats.Merges += meta.Stats.Merges
+	stats.CheapMerges += meta.Stats.CheapMerges
 	stats.SignatureTime += meta.Stats.SignatureTime
 	stats.ClusterTime += meta.Stats.ClusterTime
 	stats.Rounds = meta.Stats.Rounds

@@ -1,6 +1,11 @@
 package cluster
 
-import "testing"
+import (
+	"testing"
+
+	"dnastore/internal/dna"
+	"dnastore/internal/xrand"
+)
 
 func TestShardedMatchesSingleNodeAccuracy(t *testing.T) {
 	reads, origins := makePool(51, 150, 110, 8, 0.06)
@@ -68,5 +73,25 @@ func TestShardedPurity(t *testing.T) {
 	res := Sharded(reads, 4, Options{Seed: 60})
 	if p := Purity(res.Clusters, origins); p < 0.99 {
 		t.Fatalf("sharded purity %v", p)
+	}
+}
+
+// TestShardedCountsMetaRoundCheapMerges covers a pool whose every merge
+// happens in the representative-level meta round: round-robin gives each of
+// three shards one copy of each of two strands, so no shard merges anything.
+// The meta round's cheap merges must reach Stats like its other counters.
+func TestShardedCountsMetaRoundCheapMerges(t *testing.T) {
+	rng := xrand.New(61)
+	a, b := dna.Random(rng, 110), dna.Random(rng, 110)
+	reads := []dna.Seq{a, a, a, b, b, b}
+	opts := Options{Seed: 9, ThetaLow: 3, ThetaHigh: 20, EditThreshold: 10}
+	res := Sharded(reads, 3, opts)
+	if len(res.Clusters) != 2 || res.Stats.Merges != 4 {
+		t.Fatalf("got %d clusters and %d merges, want 2 and 4", len(res.Clusters), res.Stats.Merges)
+	}
+	// Identical reads sit at signature distance 0, within ThetaLow, so every
+	// merge decision is cheap: Cluster on the same reads counts 6 as well.
+	if res.Stats.CheapMerges != 6 {
+		t.Fatalf("CheapMerges = %d, want the meta round's 6", res.Stats.CheapMerges)
 	}
 }

@@ -2,10 +2,10 @@
 // the pipeline: an indexed parallel-for with worker IDs, per-worker scratch
 // slots that satisfy the dnalint scratchown ownership rules, ticket
 // semaphores for bounded channel pipelines, and a spawn-join group with
-// panic capture. All concurrency in cluster, recon, core, and archive runs
-// through this package, so the determinism guarantee — output depends only
-// on (options, seed, volume id, bytes), never on scheduling — is enforced
-// in one place.
+// panic capture. All concurrency in sim, cluster, recon, core, and archive
+// runs through this package, so the determinism guarantee — output depends
+// only on (options, seed, volume id, bytes), never on scheduling — is
+// enforced in one place.
 //
 // Ownership rules (checked by dnalint scratchown):
 //

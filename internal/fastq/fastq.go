@@ -42,7 +42,9 @@ func Parse(r io.Reader) ([]Record, error) {
 			return "", false
 		}
 		line++
-		return sc.Text(), true
+		// The scanner drops one '\r' before each '\n'; drop any more so a
+		// field never ends in '\r', which Write could not round-trip.
+		return strings.TrimRight(sc.Text(), "\r"), true
 	}
 	for {
 		header, ok := read()

@@ -5,11 +5,10 @@ import (
 	"errors"
 	"math"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"dnastore/internal/dna"
 	"dnastore/internal/edit"
+	"dnastore/internal/exec"
 	"dnastore/internal/xrand"
 )
 
@@ -103,30 +102,9 @@ func SimulatePoolContext(ctx context.Context, strands []dna.Seq, opts Options) (
 		cov = FixedCoverage(10)
 	}
 	perStrand := make([][]Read, len(strands))
-	workers := runtime.GOMAXPROCS(0)
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Worker-level backstop: simulateStrand already salvages per-item
-			// panics, but a panic in the dispatch loop itself must not kill
-			// the process — the worker's remaining strands become dropouts.
-			defer func() { _ = recover() }()
-			for i := w; i < len(strands); i += workers {
-				if stop.Load() {
-					return
-				}
-				if ctx.Err() != nil {
-					stop.Store(true)
-					return
-				}
-				perStrand[i] = simulateStrand(strands[i], i, cov, opts)
-			}
-		}(w)
-	}
-	wg.Wait()
+	exec.ParallelFor(ctx, runtime.GOMAXPROCS(0), len(strands), func(i int) {
+		perStrand[i] = simulateStrand(strands[i], i, cov, opts)
+	})
 	if err := context.Cause(ctx); err != nil {
 		return nil, err
 	}
@@ -142,20 +120,16 @@ func SimulatePoolContext(ctx context.Context, strands []dna.Seq, opts Options) (
 }
 
 // simulateStrand replicates one strand through the channel. A panic inside
-// the coverage model or channel salvages the strand as a total dropout
-// instead of killing the whole pool.
-func simulateStrand(strand dna.Seq, i int, cov CoverageModel, opts Options) (reads []Read) {
-	defer func() {
-		if recover() != nil {
-			reads = nil
-		}
-	}()
+// the coverage model or channel leaves the strand's slot nil (exec's
+// per-item guard), so the strand becomes a total dropout instead of killing
+// the whole pool.
+func simulateStrand(strand dna.Seq, i int, cov CoverageModel, opts Options) []Read {
 	rng := xrand.Derive(opts.Seed, uint64(i))
 	if rng.Bool(opts.Dropout) {
 		return nil
 	}
 	n := cov.Copies(rng)
-	reads = make([]Read, 0, n)
+	reads := make([]Read, 0, n)
 	for c := 0; c < n; c++ {
 		reads = append(reads, Read{Seq: opts.Channel.Transmit(rng, strand), Origin: i})
 	}
