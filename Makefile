@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race vet fmt lint fuzz-smoke perfbench-test bench stream-smoke archive-smoke experiments experiments-quick examples clean
+.PHONY: all build test test-short race vet fmt lint fuzz-smoke perfbench-test perfpairs bench stream-smoke archive-smoke experiments experiments-quick examples clean
 
 all: build vet lint test
 
@@ -61,6 +61,12 @@ fuzz-smoke:
 # change that breaks an entry point the benchmark drives fails at once.
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# Alternating parent/change pairs of the end-to-end benchmark on one
+# workload, summarized per metric (scripts/perfpairs.sh):
+#   make perfpairs PARENT=<ref> WORKLOAD=<name> [PAIRS=<n>] [SEED=<s>]
+perfpairs:
+	bash scripts/perfpairs.sh "$(PARENT)" "$(WORKLOAD)" $(PAIRS) $(SEED)
 
 # Microbenchmarks in every package plus the table/figure reproduction
 # benchmarks at the repository root.

@@ -26,7 +26,10 @@ func benchTableIConfig() bench.TableIConfig {
 // simulator ("RNN" column) and the reference wetlab ("Real").
 func BenchmarkTableI_SimulatorFidelity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := bench.TableI(benchTableIConfig())
+		res, err := bench.TableI(benchTableIConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
 		real := res.Real()
 		b.ReportMetric(100*res.Row("Rashtchian").MeanErr, "ii-iid-%")
 		b.ReportMetric(100*res.Row("SOLQC").MeanErr, "ii-solqc-%")
@@ -45,7 +48,10 @@ func BenchmarkTableI_SimulatorFidelity(b *testing.B) {
 // real profile — the quantity the figure lets the reader eyeball.
 func BenchmarkFig3_PerIndexError(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := bench.TableI(benchTableIConfig())
+		res, err := bench.TableI(benchTableIConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ReportMetric(100*res.Row("Rashtchian").MeanDev, "dev-iid-%")
 		b.ReportMetric(100*res.Row("SOLQC").MeanDev, "dev-solqc-%")
 		b.ReportMetric(100*res.Row("RNN").MeanDev, "dev-rnn-%")
@@ -56,7 +62,10 @@ func BenchmarkFig3_PerIndexError(b *testing.B) {
 // histogram from which θ_low and θ_high are derived automatically.
 func BenchmarkFig5_AutoThreshold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := bench.Fig5(bench.DefaultFig5())
+		res, err := bench.Fig5(bench.DefaultFig5())
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ReportMetric(float64(res.ThetaLow), "theta-low")
 		b.ReportMetric(float64(res.ThetaHigh), "theta-high")
 	}
@@ -71,7 +80,10 @@ func BenchmarkTableII_Clustering(b *testing.B) {
 	cfg.Strands = 400
 	cfg.Runs = 1
 	for i := 0; i < b.N; i++ {
-		res := bench.TableII(cfg)
+		res, err := bench.TableII(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ReportMetric(res.Cell(0.03, cluster.QGram).Accuracy, "acc-q-3%")
 		b.ReportMetric(res.Cell(0.03, cluster.WGram).Accuracy, "acc-w-3%")
 		b.ReportMetric(res.Cell(0.15, cluster.QGram).Accuracy, "acc-q-15%")
@@ -152,7 +164,10 @@ func BenchmarkAblation_StragglerSweep(b *testing.B) {
 	cfg := bench.DefaultSweep()
 	cfg.Strands = 300
 	for i := 0; i < b.N; i++ {
-		res := bench.Sweep(cfg)
+		res, err := bench.Sweep(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ReportMetric(res.With.Accuracy, "acc-sweep-on")
 		b.ReportMetric(res.Without.Accuracy, "acc-sweep-off")
 		b.ReportMetric(float64(res.With.EditCalls-res.Without.EditCalls), "extra-edit-calls")

@@ -216,9 +216,12 @@ func cmdSimulate(args []string) error {
 	if *skew > 0 {
 		cov = sim.SkewedCoverage{Mean: float64(*coverage), Sigma: *skew}
 	}
-	reads := sim.SimulatePool(strands, sim.Options{
+	reads, err := sim.SimulatePoolContext(context.Background(), strands, sim.Options{
 		Channel: ch, Coverage: cov, Dropout: *dropout, Seed: *seed,
 	})
+	if err != nil {
+		return err
+	}
 	if err := writeSeqLines(*out, sim.Sequences(reads)); err != nil {
 		return err
 	}
@@ -243,7 +246,10 @@ func cmdCluster(args []string) error {
 	if *mode == "w" {
 		opts.Mode = cluster.WGram
 	}
-	res := cluster.Cluster(reads, opts)
+	res, err := cluster.ClusterContext(context.Background(), reads, opts)
+	if err != nil {
+		return err
+	}
 	f, err := os.Create(*out)
 	if err != nil {
 		return err

@@ -44,6 +44,14 @@ func writeCSV(dir, name string, rows [][]string) {
 	}
 }
 
+// exitOn stops the run when the named experiment failed.
+func exitOn(name string, err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, name+":", err)
+		os.Exit(1)
+	}
+}
+
 func ftoa(v float64) string { return strconv.FormatFloat(v, 'g', 8, 64) }
 
 func main() {
@@ -67,7 +75,8 @@ func main() {
 			cfg = bench.QuickTableI()
 		}
 		start := time.Now()
-		res := bench.TableI(cfg)
+		res, err := bench.TableI(cfg)
+		exitOn("tableI", err)
 		if want("tableI") {
 			bench.RenderTableI(out, res)
 			fmt.Fprintf(out, "(%d test strands, coverage %d, %.1fs)\n\n", cfg.TestStrands, cfg.Coverage, time.Since(start).Seconds())
@@ -98,7 +107,8 @@ func main() {
 		if *quick {
 			cfg.Strands = 150
 		}
-		res := bench.Fig5(cfg)
+		res, err := bench.Fig5(cfg)
+		exitOn("fig5", err)
 		bench.RenderFig5(out, res)
 		fmt.Fprintln(out)
 		ran++
@@ -117,7 +127,8 @@ func main() {
 			cfg = bench.QuickTableII()
 		}
 		start := time.Now()
-		res := bench.TableII(cfg)
+		res, err := bench.TableII(cfg)
+		exitOn("tableII", err)
 		bench.RenderTableII(out, res)
 		fmt.Fprintf(out, "(%d strands, %d runs averaged, %.1fs)\n\n", cfg.Strands, cfg.Runs, time.Since(start).Seconds())
 		ran++
@@ -150,10 +161,7 @@ func main() {
 		}
 		start := time.Now()
 		res, err := bench.TableIII(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tableIII:", err)
-			os.Exit(1)
-		}
+		exitOn("tableIII", err)
 		bench.RenderTableIII(out, res)
 		fmt.Fprintf(out, "(file %d bytes, %.1fs)\n\n", cfg.FileBytes, time.Since(start).Seconds())
 		ran++
@@ -165,7 +173,8 @@ func main() {
 			cfg.StrandLen, cfg.Hidden, cfg.Epochs = 24, 20, 12
 		}
 		start := time.Now()
-		res := bench.TableIRNN(cfg)
+		res, err := bench.TableIRNN(cfg)
+		exitOn("tableI-rnn", err)
 		fmt.Fprintln(out, "TABLE I (GRU variant) — seq2seq simulator, demonstration scale")
 		fmt.Fprintf(out, "%-8s", "")
 		for _, row := range res.Rows {
@@ -191,10 +200,7 @@ func main() {
 			cfg = bench.QuickGini()
 		}
 		res, err := bench.Gini(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gini:", err)
-			os.Exit(1)
-		}
+		exitOn("gini", err)
 		bench.RenderGini(out, res)
 		fmt.Fprintln(out)
 		ran++
@@ -204,7 +210,9 @@ func main() {
 		if *quick {
 			cfg.Strands = 200
 		}
-		bench.RenderSweep(out, bench.Sweep(cfg))
+		res, err := bench.Sweep(cfg)
+		exitOn("sweep", err)
+		bench.RenderSweep(out, res)
 		fmt.Fprintln(out)
 		ran++
 	}

@@ -135,8 +135,12 @@ var (
 	TrainProfile = sim.TrainProfile
 	// GeneratePairs produces a paired training dataset through a channel.
 	GeneratePairs = sim.GeneratePairs
-	// SimulatePool pushes strands through a simulated wetlab.
-	SimulatePool = sim.SimulatePool
+	// SimulatePool pushes strands through a simulated wetlab, honouring
+	// ctx cancellation; it returns ErrNoChannel when SimOptions.Channel is
+	// unset.
+	SimulatePool = sim.SimulatePoolContext
+	// ErrNoChannel marks SimOptions without a Channel.
+	ErrNoChannel = sim.ErrNoChannel
 )
 
 // Clustering (§VI).
@@ -159,11 +163,15 @@ const (
 
 // Clustering functions re-exported from the cluster package.
 var (
-	// ClusterReads groups noisy reads by putative origin.
-	ClusterReads = cluster.Cluster
+	// ClusterReads groups noisy reads by putative origin, honouring ctx
+	// cancellation; ClusterOptions it cannot run return ErrClusterOptions.
+	ClusterReads = cluster.ClusterContext
 	// ShardedClusterReads runs the distributed variant: independent shards
 	// plus a representative-level merge round (§VI-A).
-	ShardedClusterReads = cluster.Sharded
+	ShardedClusterReads = cluster.ShardedContext
+	// ErrClusterOptions marks ClusterOptions the clustering module cannot
+	// run (a GramLen outside [0, 8]).
+	ErrClusterOptions = cluster.ErrOptions
 	// ClusteringAccuracy scores clusters against ground truth.
 	ClusteringAccuracy = cluster.Accuracy
 	// ClusteringPurity is the majority-origin read fraction.

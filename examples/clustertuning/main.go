@@ -6,7 +6,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 	"strings"
 
 	"dnastore"
@@ -22,11 +24,15 @@ func main() {
 	for i := 0; i < 400; i++ {
 		strands = append(strands, randomSeq(rng, 110))
 	}
-	reads := dnastore.SimulatePool(strands, dnastore.SimOptions{
+	ctx := context.Background()
+	reads, err := dnastore.SimulatePool(ctx, strands, dnastore.SimOptions{
 		Channel:  dnastore.CalibratedIID(0.09),
 		Coverage: dnastore.FixedCoverage(10),
 		Seed:     2,
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	seqs := make([]dnastore.Seq, len(reads))
 	origins := make([]int, len(reads))
 	for i, r := range reads {
@@ -42,7 +48,10 @@ func main() {
 	printHistogram(hist, low, high)
 
 	run := func(label string, opts dnastore.ClusterOptions) {
-		res := dnastore.ClusterReads(seqs, opts)
+		res, err := dnastore.ClusterReads(ctx, seqs, opts)
+		if err != nil {
+			log.Fatal(err)
+		}
 		acc := dnastore.ClusteringAccuracy(res.Clusters, origins, 0.9, len(strands))
 		fmt.Printf("%-28s clusters=%4d accuracy=%.4f edit-calls=%6d cluster=%v sig=%v\n",
 			label, len(res.Clusters), acc, res.Stats.EditDistanceCalls,

@@ -9,6 +9,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -43,11 +44,14 @@ func main() {
 	}
 
 	// "Sequence" the pool: noisy reads, skewed coverage, mixed orientation.
-	reads := dnastore.SimulatePool(strands, dnastore.SimOptions{
+	reads, err := dnastore.SimulatePool(context.Background(), strands, dnastore.SimOptions{
 		Channel:  dnastore.CalibratedIID(0.04),
 		Coverage: dnastore.SkewedCoverage{Mean: 12, Sigma: 0.4},
 		Seed:     5,
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	seqs := make([]dnastore.Seq, len(reads))
 	for i, r := range reads {
 		if i%2 == 0 { // half the reads come off the reverse strand

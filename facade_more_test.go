@@ -1,6 +1,7 @@
 package dnastore_test
 
 import (
+	"context"
 	"testing"
 
 	"dnastore"
@@ -19,18 +20,25 @@ func TestFacadeShardedClustering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reads := dnastore.SimulatePool(strands, dnastore.SimOptions{
+	ctx := context.Background()
+	reads, err := dnastore.SimulatePool(ctx, strands, dnastore.SimOptions{
 		Channel:  dnastore.CalibratedIID(0.05),
 		Coverage: dnastore.FixedCoverage(8),
 		Seed:     62,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	seqs := make([]dnastore.Seq, len(reads))
 	origins := make([]int, len(reads))
 	for i, r := range reads {
 		seqs[i] = r.Seq
 		origins[i] = r.Origin
 	}
-	res := dnastore.ShardedClusterReads(seqs, 3, dnastore.ClusterOptions{Seed: 63})
+	res, err := dnastore.ShardedClusterReads(ctx, seqs, 3, dnastore.ClusterOptions{Seed: 63})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if acc := dnastore.ClusteringAccuracy(res.Clusters, origins, 0.9, len(strands)); acc < 0.85 {
 		t.Fatalf("sharded accuracy %v via facade", acc)
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io/fs"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -65,6 +67,71 @@ func TestFacadeSentinelErrors(t *testing.T) {
 		_, _, err := codec.DecodeFile(nil)
 		if !errors.Is(err, dnastore.ErrDecode) {
 			t.Fatalf("err = %v", err)
+		}
+	})
+	t.Run("no channel", func(t *testing.T) {
+		strands := []dnastore.Seq{dnastore.MustParseSeq("ACGTACGTAC")}
+		_, err := dnastore.SimulatePool(context.Background(), strands, dnastore.SimOptions{})
+		if !errors.Is(err, dnastore.ErrNoChannel) {
+			t.Fatalf("err = %v", err)
+		}
+	})
+	t.Run("cluster options", func(t *testing.T) {
+		codec, _ := faultTestPipeline(t)
+		ctx := context.Background()
+		reads := []dnastore.Seq{dnastore.MustParseSeq("ACGTACGTAC"), dnastore.MustParseSeq("ACGTACGTAA")}
+		for _, q := range []int{9, -1} {
+			opts := dnastore.ClusterOptions{GramLen: q, Seed: 2}
+			if _, err := dnastore.ClusterReads(ctx, reads, opts); !errors.Is(err, dnastore.ErrClusterOptions) {
+				t.Errorf("ClusterReads GramLen %d: err = %v", q, err)
+			}
+			if _, err := dnastore.ShardedClusterReads(ctx, reads, 2, opts); !errors.Is(err, dnastore.ErrClusterOptions) {
+				t.Errorf("ShardedClusterReads GramLen %d: err = %v", q, err)
+			}
+			pipe := dnastore.NewPipeline(codec,
+				dnastore.SimOptions{Channel: dnastore.CalibratedIID(0.02),
+					Coverage: dnastore.FixedCoverage(10), Seed: 1},
+				opts, dnastore.NWReconstruction{})
+			if _, err := pipe.RunContext(ctx, []byte("options"), dnastore.RunOptions{}); !errors.Is(err, dnastore.ErrClusterOptions) {
+				t.Errorf("RunContext GramLen %d: err = %v", q, err)
+			}
+			// The streaming and archive paths stop on the configuration
+			// error instead of reporting every volume damaged, even best
+			// effort.
+			for _, best := range []bool{false, true} {
+				var out bytes.Buffer
+				sopts := dnastore.StreamOptions{VolumeBytes: 200, RunOptions: dnastore.RunOptions{BestEffort: best}}
+				if _, err := pipe.RunStream(ctx, bytes.NewReader(make([]byte, 500)), &out, sopts); !errors.Is(err, dnastore.ErrClusterOptions) {
+					t.Errorf("RunStream GramLen %d best effort %v: err = %v", q, best, err)
+				}
+			}
+		}
+
+		// An archive worker commits nothing on such options, so a resume
+		// with corrected ones decodes every volume.
+		_, good := faultTestPipeline(t)
+		bad := dnastore.NewPipeline(codec,
+			dnastore.SimOptions{Channel: dnastore.CalibratedIID(0.02),
+				Coverage: dnastore.FixedCoverage(10), Seed: 1},
+			dnastore.ClusterOptions{GramLen: 9, Seed: 2}, dnastore.NWReconstruction{})
+		data := bytes.Repeat([]byte("archive options "), 40)
+		dir := filepath.Join(t.TempDir(), "archive")
+		outPath := filepath.Join(filepath.Dir(dir), "out.bin")
+		if _, err := dnastore.BuildArchive(ctx, good, bytes.NewReader(data), dir, dnastore.StreamOptions{VolumeBytes: 200}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dnastore.RunArchiveWorker(ctx, bad, dir, outPath, dnastore.ArchiveWorkerOptions{Owner: "bad"}); !errors.Is(err, dnastore.ErrClusterOptions) {
+			t.Fatalf("RunArchiveWorker: err = %v", err)
+		}
+		if _, err := dnastore.ReadArchiveCheckpoint(dnastore.ArchiveDir(dir).CheckpointPath(0)); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("volume 0 checkpoint after the options error: err = %v", err)
+		}
+		res, err := dnastore.RunArchiveWorker(ctx, good, dir, outPath, dnastore.ArchiveWorkerOptions{Owner: "good"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Decoded != 4 || res.Skipped != 0 {
+			t.Fatalf("resumed worker result %+v, want 4 decoded", res)
 		}
 	})
 	t.Run("stage panic", func(t *testing.T) {

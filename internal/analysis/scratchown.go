@@ -7,7 +7,7 @@ import (
 
 // ScratchOwn enforces the per-worker scratch ownership discipline behind the
 // zero-allocation kernels: scratch buffers (edit.Scratch, align.Graph, the
-// cluster signature scratch, ...) are reused across calls without
+// clustering round and sweep state, ...) are reused across calls without
 // synchronization, which is only sound while each value stays confined to
 // the worker that owns it. The sanctioned pattern is a slice with one slot
 // per worker, indexed by worker id — the slice is shared, the slots are not.
@@ -38,10 +38,8 @@ var ScratchOwn = &Analyzer{
 // builtinScratchTypes qualifies the module's known per-worker scratch types
 // as "pkgpath.TypeName".
 var builtinScratchTypes = map[string]bool{
-	"dnastore/internal/edit.Scratch":         true,
-	"dnastore/internal/align.Graph":          true,
-	"dnastore/internal/cluster.sigScratch":   true,
-	"dnastore/internal/cluster.sweepScratch": true,
+	"dnastore/internal/edit.Scratch": true,
+	"dnastore/internal/align.Graph":  true,
 }
 
 // scratchSet resolves which named types count as scratch for one package:

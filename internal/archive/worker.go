@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dnastore/internal/cluster"
 	"dnastore/internal/codec"
 	"dnastore/internal/core"
 	"dnastore/internal/exec"
@@ -116,7 +117,9 @@ func (r WorkerResult) Committed() int { return r.Decoded + r.Salvaged + r.Failed
 //
 // The pipeline needs Clusterer and Reconstructor configured; a nil Codec is
 // reconstructed from the manifest (a configured one is validated against
-// it). The Simulator is not used.
+// it). The Simulator is not used. Clustering options the pipeline cannot run
+// stop the worker with an error matching cluster.ErrOptions, and the volume
+// that met them is left uncommitted.
 func RunWorker(ctx context.Context, p *core.Pipeline, dir, outPath string, o WorkerOptions) (WorkerResult, error) {
 	var res WorkerResult
 	o = o.withDefaults()
@@ -345,6 +348,11 @@ func (w *worker) decodeVolume(ctx context.Context, mv codec.ManifestVolume, corr
 		// Commit nothing on cancellation: a half-considered volume must be
 		// redone by whoever resumes, not checkpointed as failed.
 		return fmt.Errorf("%w: archive worker volume %d: %w", core.ErrCancelled, mv.ID, context.Cause(ctx))
+	}
+	if errors.Is(vr.Err, cluster.ErrOptions) {
+		// Nor on clustering options that cannot run: every volume would
+		// fail alike, and a resume with corrected options must redo them.
+		return fmt.Errorf("archive worker volume %d: %w", mv.ID, vr.Err)
 	}
 
 	buf := vr.Data

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"time"
 
 	"dnastore/internal/cluster"
@@ -92,12 +93,15 @@ func Gini(cfg GiniConfig) (GiniResult, error) {
 				if err != nil {
 					return res, err
 				}
-				reads := sim.SimulatePool(strands, sim.Options{
+				reads, err := sim.SimulatePoolContext(context.Background(), strands, sim.Options{
 					Channel:   sim.CalibratedIID(cfg.ErrorRate),
 					Coverage:  sim.FixedCoverage(coverage),
 					Seed:      seed + 1,
 					KeepOrder: true,
 				})
+				if err != nil {
+					return res, err
+				}
 				clusters := make([][]dna.Seq, len(strands))
 				for _, r := range reads {
 					clusters[r.Origin] = append(clusters[r.Origin], r.Seq)
@@ -147,32 +151,41 @@ type SweepResult struct {
 }
 
 // Sweep runs the ablation at a high error rate, where stragglers matter.
-func Sweep(cfg SweepConfig) SweepResult {
+func Sweep(cfg SweepConfig) (SweepResult, error) {
+	ctx := context.Background()
 	rng := xrand.New(cfg.Seed)
 	strands := make([]dna.Seq, cfg.Strands)
 	for i := range strands {
 		strands[i] = dna.Random(rng, cfg.StrandLen)
 	}
-	reads := sim.SimulatePool(strands, sim.Options{
+	reads, err := sim.SimulatePoolContext(ctx, strands, sim.Options{
 		Channel:  sim.CalibratedIID(cfg.ErrorRate),
 		Coverage: sim.FixedCoverage(cfg.Coverage),
 		Seed:     cfg.Seed + 1,
 	})
+	if err != nil {
+		return SweepResult{}, err
+	}
 	seqs := make([]dna.Seq, len(reads))
 	origins := make([]int, len(reads))
 	for i, r := range reads {
 		seqs[i] = r.Seq
 		origins[i] = r.Origin
 	}
-	run := func(disable bool) SweepCell {
+	run := func(disable bool) (SweepCell, error) {
 		start := time.Now()
-		out := cluster.Cluster(seqs, cluster.Options{Seed: cfg.Seed + 2, NoStragglerSweep: disable})
+		out, err := cluster.ClusterContext(ctx, seqs, cluster.Options{Seed: cfg.Seed + 2, NoStragglerSweep: disable})
 		return SweepCell{
 			SweepEnabled: !disable,
 			Accuracy:     cluster.Accuracy(out.Clusters, origins, 0.9, cfg.Strands),
 			EditCalls:    out.Stats.EditDistanceCalls,
 			Time:         time.Since(start),
-		}
+		}, err
 	}
-	return SweepResult{With: run(false), Without: run(true)}
+	var res SweepResult
+	if res.With, err = run(false); err != nil {
+		return res, err
+	}
+	res.Without, err = run(true)
+	return res, err
 }

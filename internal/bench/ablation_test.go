@@ -32,7 +32,10 @@ func TestGiniAblationShape(t *testing.T) {
 func TestSweepAblationShape(t *testing.T) {
 	cfg := DefaultSweep()
 	cfg.Strands = 200
-	res := Sweep(cfg)
+	res, err := Sweep(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !res.With.SweepEnabled || res.Without.SweepEnabled {
 		t.Fatal("cells mislabelled")
 	}
@@ -55,7 +58,11 @@ func TestAblationRenderers(t *testing.T) {
 	RenderGini(&sb, res)
 	cfg := DefaultSweep()
 	cfg.Strands = 120
-	RenderSweep(&sb, Sweep(cfg))
+	sw, err := Sweep(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	RenderSweep(&sb, sw)
 	out := sb.String()
 	for _, want := range []string{"Gini layout", "straggler sweep", "recov(gini)", "edit-calls"} {
 		if !strings.Contains(out, want) {

@@ -8,7 +8,10 @@ import (
 )
 
 func TestTableIQuickShape(t *testing.T) {
-	r := TableI(QuickTableI())
+	r, err := TableI(QuickTableI())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(r.Rows) != 4 {
 		t.Fatalf("got %d rows", len(r.Rows))
 	}
@@ -50,7 +53,10 @@ func absInt(x int) int {
 }
 
 func TestTableIIQuickShape(t *testing.T) {
-	r := TableII(QuickTableII())
+	r, err := TableII(QuickTableII())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(r.Cells) != 4 {
 		t.Fatalf("got %d cells", len(r.Cells))
 	}
@@ -81,7 +87,10 @@ func TestTableIIQuickShape(t *testing.T) {
 func TestFig5Shape(t *testing.T) {
 	cfg := DefaultFig5()
 	cfg.Strands = 150
-	r := Fig5(cfg)
+	r, err := Fig5(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.ThetaLow >= r.ThetaHigh {
 		t.Fatalf("thresholds inverted: %d >= %d", r.ThetaLow, r.ThetaHigh)
 	}
@@ -169,11 +178,22 @@ func TestTableIIIQuickShape(t *testing.T) {
 
 func TestRenderersProduceOutput(t *testing.T) {
 	var sb strings.Builder
-	t1 := TableI(QuickTableI())
+	t1, err := TableI(QuickTableI())
+	if err != nil {
+		t.Fatal(err)
+	}
 	RenderTableI(&sb, t1)
 	RenderFig3(&sb, t1)
-	RenderTableII(&sb, TableII(QuickTableII()))
-	RenderFig5(&sb, Fig5(Fig5Config{Strands: 100, StrandLen: 110, Coverage: 8, ErrorRate: 0.06, Seed: 3}))
+	t2, err := TableII(QuickTableII())
+	if err != nil {
+		t.Fatal(err)
+	}
+	RenderTableII(&sb, t2)
+	f5, err := Fig5(Fig5Config{Strands: 100, StrandLen: 110, Coverage: 8, ErrorRate: 0.06, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	RenderFig5(&sb, f5)
 	RenderFig6(&sb, Fig6(QuickFig6()))
 	t3, err := TableIII(QuickTableIII())
 	if err != nil {

@@ -1,7 +1,7 @@
 package bench
 
 import (
-	"reflect"
+	"context"
 	"testing"
 
 	"dnastore/internal/align"
@@ -117,10 +117,11 @@ func TestPOAParityWithSeed(t *testing.T) {
 
 // TestThroughputQuick holds the stage kernels to their oracles at one
 // operating point: 120 strands × 110 nt, coverage 8, 3% IID error, seed 7.
-// Clustering must match the map-based reference, every pooled
-// reconstruction its reference, the POA consensus the frozen seed
-// implementation at ≥3× fewer allocations, and the bit-parallel edit kernel
-// the DP kernel.
+// Every pooled reconstruction must match its reference, the POA consensus
+// the frozen seed implementation at ≥3× fewer allocations, and the
+// bit-parallel edit kernel the DP kernel. Clustering's comparison with its
+// reference on this pool is internal/cluster's
+// TestFastPathMatchesReferenceAtScale.
 func TestThroughputQuick(t *testing.T) {
 	const (
 		strands   = 120
@@ -129,47 +130,29 @@ func TestThroughputQuick(t *testing.T) {
 		errorRate = 0.03
 		seed      = 7
 	)
-	// pool simulates the reads of strands×mult fresh strands.
-	pool := func(mult int) []dna.Seq {
-		rng := xrand.Derive(seed, 0x5ca1e+uint64(mult))
-		src := make([]dna.Seq, strands*mult)
-		for i := range src {
-			src[i] = dna.Random(rng, strandLen)
-		}
-		return sim.Sequences(sim.SimulatePool(src, sim.Options{
-			Channel:  sim.CalibratedIID(errorRate),
-			Coverage: sim.FixedCoverage(coverage),
-			Seed:     seed + 1,
-		}))
+	ctx := context.Background()
+	strandRNG := xrand.Derive(seed, 0x5ca1e+1)
+	src := make([]dna.Seq, strands)
+	for i := range src {
+		src[i] = dna.Random(strandRNG, strandLen)
 	}
-
-	// Clustering: memberships and decision counters equal the reference at
-	// 960, 9 600 and 38 400 reads. The larger two are the only pools in the
-	// suite where the straggler sweep's candidate limit,
-	// max(SweepCandidates, clusters/20), rises above its floor of 32.
-	var clusters [][]dna.Seq
-	for _, mult := range []int{1, 10, 40} {
-		rs := pool(mult)
-		opts := cluster.Options{Seed: seed + 3}
-		got := cluster.Cluster(rs, opts)
-		opts.Reference = true
-		want := cluster.Cluster(rs, opts)
-		if !reflect.DeepEqual(got.Clusters, want.Clusters) {
-			t.Errorf("%d reads: cluster memberships differ from the reference", len(rs))
-		}
-		g, w := got.Stats, want.Stats
-		if g.Merges != w.Merges || g.CheapMerges != w.CheapMerges || g.EditDistanceCalls != w.EditDistanceCalls {
-			t.Errorf("%d reads: decision counters {M:%d CM:%d ED:%d}, reference {M:%d CM:%d ED:%d}",
-				len(rs), g.Merges, g.CheapMerges, g.EditDistanceCalls, w.Merges, w.CheapMerges, w.EditDistanceCalls)
-		}
-		if mult == 1 {
-			for _, members := range got.Clusters {
-				cl := make([]dna.Seq, len(members))
-				for j, m := range members {
-					cl[j] = rs[m]
-				}
-				clusters = append(clusters, cl)
-			}
+	reads, err := sim.SimulatePoolContext(ctx, src, sim.Options{
+		Channel:  sim.CalibratedIID(errorRate),
+		Coverage: sim.FixedCoverage(coverage),
+		Seed:     seed + 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := sim.Sequences(reads)
+	res, err := cluster.ClusterContext(ctx, rs, cluster.Options{Seed: seed + 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clusters := make([][]dna.Seq, len(res.Clusters))
+	for i, members := range res.Clusters {
+		for _, m := range members {
+			clusters[i] = append(clusters[i], rs[m])
 		}
 	}
 

@@ -6,6 +6,8 @@
 package bench
 
 import (
+	"context"
+
 	"dnastore/internal/dna"
 	"dnastore/internal/recon"
 	"dnastore/internal/sim"
@@ -85,7 +87,7 @@ func (r TableIResult) Row(name string) SimulatorRow {
 // read dataset over the same test strands; the double-sided BMA
 // reconstruction (as in the paper) is applied to each dataset; profiles are
 // compared against the real channel's.
-func TableI(cfg TableIConfig) TableIResult {
+func TableI(cfg TableIConfig) (TableIResult, error) {
 	rng := xrand.New(cfg.Seed)
 	ref := sim.NewReferenceWetlab()
 	ref.BaseRate = cfg.Severity
@@ -122,12 +124,15 @@ func TableI(cfg TableIConfig) TableIResult {
 		if cfg.CoverageSigma > 0 {
 			coverage = sim.SkewedCoverage{Mean: float64(cfg.Coverage), Sigma: cfg.CoverageSigma}
 		}
-		reads := sim.SimulatePool(test, sim.Options{
+		reads, err := sim.SimulatePoolContext(context.Background(), test, sim.Options{
 			Channel:   c.ch,
 			Coverage:  coverage,
 			Seed:      cfg.Seed + 10, // same coverage draw for every channel
 			KeepOrder: true,
 		})
+		if err != nil {
+			return TableIResult{}, err
+		}
 		clusters := make([][]dna.Seq, len(test))
 		for _, r := range reads {
 			clusters[r.Origin] = append(clusters[r.Origin], r.Seq)
@@ -148,7 +153,7 @@ func TableI(cfg TableIConfig) TableIResult {
 	for i := range res.Rows {
 		res.Rows[i].MeanDev = recon.MeanAbsDeviation(res.Rows[i].Profile, realProfile)
 	}
-	return res
+	return res, nil
 }
 
 func minInt(a, b int) int {

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"context"
+
 	"dnastore/internal/dna"
 	"dnastore/internal/recon"
 	"dnastore/internal/sim"
@@ -62,7 +64,7 @@ func (r TableIRNNResult) Row(name string) SimulatorRow {
 }
 
 // TableIRNN runs the GRU-backed simulator-fidelity experiment.
-func TableIRNN(cfg TableIRNNConfig) TableIRNNResult {
+func TableIRNN(cfg TableIRNNConfig) (TableIRNNResult, error) {
 	rng := xrand.New(cfg.Seed)
 	ref := sim.NewReferenceWetlab()
 	ref.BaseRate = cfg.Severity
@@ -92,12 +94,15 @@ func TableIRNN(cfg TableIRNNConfig) TableIRNNResult {
 	}
 	res := TableIRNNResult{Losses: losses}
 	for ci, c := range channels {
-		reads := sim.SimulatePool(test, sim.Options{
+		reads, err := sim.SimulatePoolContext(context.Background(), test, sim.Options{
 			Channel:   c.ch,
 			Coverage:  sim.FixedCoverage(cfg.Coverage),
 			Seed:      cfg.Seed + 10 + uint64(ci),
 			KeepOrder: true,
 		})
+		if err != nil {
+			return TableIRNNResult{}, err
+		}
 		clusters := make([][]dna.Seq, len(test))
 		for _, r := range reads {
 			clusters[r.Origin] = append(clusters[r.Origin], r.Seq)
@@ -115,5 +120,5 @@ func TableIRNN(cfg TableIRNNConfig) TableIRNNResult {
 	for i := range res.Rows {
 		res.Rows[i].MeanDev = recon.MeanAbsDeviation(res.Rows[i].Profile, realProfile)
 	}
-	return res
+	return res, nil
 }

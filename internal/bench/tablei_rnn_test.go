@@ -9,7 +9,10 @@ func TestTableIRNNTrainsAndGenerates(t *testing.T) {
 	cfg := DefaultTableIRNN()
 	cfg.TrainStrands, cfg.TestStrands = 80, 50
 	cfg.StrandLen, cfg.Hidden, cfg.Epochs = 24, 14, 3
-	res := TableIRNN(cfg)
+	res, err := TableIRNN(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}

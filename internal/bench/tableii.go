@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"time"
 
 	"dnastore/internal/cluster"
@@ -75,7 +76,8 @@ func (r TableIIResult) Cell(rate float64, mode cluster.SignatureMode) TableIICel
 }
 
 // TableII runs the clustering comparison.
-func TableII(cfg TableIIConfig) TableIIResult {
+func TableII(cfg TableIIConfig) (TableIIResult, error) {
+	ctx := context.Background()
 	var res TableIIResult
 	for _, rate := range cfg.ErrorRates {
 		for _, mode := range []cluster.SignatureMode{cluster.QGram, cluster.WGram} {
@@ -89,11 +91,14 @@ func TableII(cfg TableIIConfig) TableIIResult {
 				for i := range strands {
 					strands[i] = dna.Random(rng, cfg.StrandLen)
 				}
-				reads := sim.SimulatePool(strands, sim.Options{
+				reads, err := sim.SimulatePoolContext(ctx, strands, sim.Options{
 					Channel:  sim.CalibratedIID(rate),
 					Coverage: sim.FixedCoverage(cfg.Coverage),
 					Seed:     seed + 1,
 				})
+				if err != nil {
+					return res, err
+				}
 				seqs := make([]dna.Seq, len(reads))
 				origins := make([]int, len(reads))
 				for i, r := range reads {
@@ -101,10 +106,13 @@ func TableII(cfg TableIIConfig) TableIIResult {
 					origins[i] = r.Origin
 				}
 				start := time.Now()
-				out := cluster.Cluster(seqs, cluster.Options{
+				out, err := cluster.ClusterContext(ctx, seqs, cluster.Options{
 					Mode: mode, Seed: seed + 2, NoStragglerSweep: !cfg.WithSweep,
 				})
 				total := time.Since(start)
+				if err != nil {
+					return res, err
+				}
 				cell.Accuracy += cluster.Accuracy(out.Clusters, origins, cfg.Gamma, cfg.Strands)
 				cell.SignatureTime += out.Stats.SignatureTime
 				cell.ClusterTime += out.Stats.ClusterTime
@@ -119,7 +127,7 @@ func TableII(cfg TableIIConfig) TableIIResult {
 			res.Cells = append(res.Cells, cell)
 		}
 	}
-	return res
+	return res, nil
 }
 
 // Fig5Config sizes the auto-threshold histogram experiment (Fig. 5).
@@ -145,18 +153,21 @@ type Fig5Result struct {
 }
 
 // Fig5 samples reads and produces the auto-configuration histogram.
-func Fig5(cfg Fig5Config) Fig5Result {
+func Fig5(cfg Fig5Config) (Fig5Result, error) {
 	rng := xrand.New(cfg.Seed)
 	strands := make([]dna.Seq, cfg.Strands)
 	for i := range strands {
 		strands[i] = dna.Random(rng, cfg.StrandLen)
 	}
-	reads := sim.SimulatePool(strands, sim.Options{
+	reads, err := sim.SimulatePoolContext(context.Background(), strands, sim.Options{
 		Channel:  sim.CalibratedIID(cfg.ErrorRate),
 		Coverage: sim.FixedCoverage(cfg.Coverage),
 		Seed:     cfg.Seed + 1,
 	})
+	if err != nil {
+		return Fig5Result{}, err
+	}
 	seqs := sim.Sequences(reads)
 	low, high, hist := cluster.AutoThresholdsDefault(seqs, cfg.Seed+2)
-	return Fig5Result{Histogram: hist, ThetaLow: low, ThetaHigh: high}
+	return Fig5Result{Histogram: hist, ThetaLow: low, ThetaHigh: high}, nil
 }

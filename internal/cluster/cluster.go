@@ -16,16 +16,17 @@
 // independently of merge application, so results are deterministic for a
 // given seed regardless of GOMAXPROCS.
 //
-// Two implementations of the round loop and the straggler sweep coexist: the
-// map-based reference (reference.go) and the allocation-free fast path
-// (roundstate.go, sigbits.go, sweepindex.go). Both produce bit-identical
-// clusters and Stats counters for every seed and worker count; the fast path
-// is the default, the reference serves as oracle and as the fallback for
-// configurations outside the fast path's packing limits.
+// The round loop and the straggler sweep run on one allocation-free
+// implementation (roundstate.go, sigbits.go, sweepindex.go). The map-based
+// loops it replaced survive in the package tests as its oracle: the
+// fixed-seed identity tests hold the two to bit-identical clusters and Stats
+// counters for every seed and worker count.
 package cluster
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"runtime"
 	"sort"
 	"time"
@@ -35,19 +36,15 @@ import (
 	"dnastore/internal/xrand"
 )
 
-// Options configures Cluster. Zero values select the defaults given below.
+// Options configures ClusterContext. Zero values select the defaults given
+// below.
 type Options struct {
 	// Mode selects q-gram (default) or w-gram signatures.
 	Mode SignatureMode
-	// NumGrams is the number of random grams per signature (default 48).
-	NumGrams int
-	// GramLen is the gram length q (default 4).
+	// GramLen is the gram length q (default 4). Values outside
+	// [0, maxRollingQ] are rejected with ErrOptions: the signature kernels
+	// index grams with a 4^q head table.
 	GramLen int
-	// AnchorLen is the anchor length k used for partitioning (default 3).
-	AnchorLen int
-	// PartitionLen is the number of bases l following the anchor that form
-	// the partition key (default 6).
-	PartitionLen int
 	// Rounds is the number of clustering rounds, each with a fresh anchor
 	// and fresh grams (default 24).
 	Rounds int
@@ -63,9 +60,6 @@ type Options struct {
 	// confirmation step). Reads of a common origin at error rate p differ
 	// by ≈2p·L edits while unrelated randomized strands sit near 0.55·L.
 	EditThreshold int
-	// MaxPartitionPairs caps the pairwise comparisons within one partition
-	// (huge partitions are subsampled). Default 50000.
-	MaxPartitionPairs int
 	// NoStragglerSweep disables the final pass in which very small
 	// clusters are edit-checked against their nearest cluster
 	// representatives (by signature distance) without anchor partitioning.
@@ -73,60 +67,72 @@ type Options struct {
 	// with their cluster; disable it to measure the bare multi-round
 	// algorithm.
 	NoStragglerSweep bool
-	// SweepCandidates is the number of nearest representatives the sweep
-	// edit-checks per straggler (default 32; banded edit distance keeps
-	// each check cheap, and only stragglers pay it).
-	SweepCandidates int
-	// Reference selects the retained map-based implementation of the round
-	// loop and the straggler sweep instead of the allocation-free fast
-	// path. Results are bit-identical either way (pinned by the fixed-seed
-	// identity tests); the reference is slower and exists as the oracle.
-	// Configurations the fast path cannot pack (PartitionLen >
-	// maxPackedPartition, GramLen > maxRollingQ) use the reference
-	// automatically.
-	Reference bool
-	// Workers bounds the worker goroutines (default GOMAXPROCS).
+	// Workers bounds the worker goroutines (<= 0: GOMAXPROCS).
 	Workers int
 	// Seed drives all randomness.
 	Seed uint64
+
+	// engine, when non-nil, builds the round and sweep engine in place of
+	// the fast path's roundRunner. Only package tests set it, to run the
+	// map-based reference oracle through the same driver; ShardedContext
+	// copies Options to every shard and to the meta round, so it reaches
+	// those too.
+	engine engineMaker
 }
 
-func (o Options) withDefaults(readLen int) Options {
-	if o.NumGrams == 0 {
-		o.NumGrams = 48
+// Fixed parameters of the algorithm (§VI-A).
+const (
+	// numGrams is the number of random grams per round signature; the
+	// straggler sweep uses three times as many.
+	numGrams = 48
+	// anchorLen is the anchor length k used for partitioning.
+	anchorLen = 3
+	// partitionLen is the number of bases l following the anchor that form
+	// the partition key.
+	partitionLen = 6
+	// maxPartitionPairs caps the pairwise comparisons within one partition;
+	// huge partitions are subsampled.
+	maxPartitionPairs = 50000
+	// sweepCandidates is the floor of the number of nearest representatives
+	// the sweep edit-checks per straggler (banded edit distance keeps each
+	// check cheap, and only stragglers pay it).
+	sweepCandidates = 32
+)
+
+// ErrOptions marks Options that ClusterContext and ShardedContext cannot
+// run.
+var ErrOptions = errors.New("cluster: invalid options")
+
+// withDefaults validates o and fills in its defaults.
+func (o Options) withDefaults() (Options, error) {
+	if o.GramLen < 0 || o.GramLen > maxRollingQ {
+		return o, fmt.Errorf("%w: GramLen %d outside [0, %d]", ErrOptions, o.GramLen, maxRollingQ)
 	}
 	if o.GramLen == 0 {
 		o.GramLen = 4
 	}
-	if o.AnchorLen == 0 {
-		o.AnchorLen = 3
-	}
-	if o.PartitionLen == 0 {
-		o.PartitionLen = 6
-	}
 	if o.Rounds == 0 {
 		o.Rounds = 24
 	}
-	// EditThreshold == 0 is resolved from the data inside Cluster (see
-	// autoEditThreshold); it cannot be fixed here because it needs reads.
-	if o.MaxPartitionPairs == 0 {
-		o.MaxPartitionPairs = 50000
-	}
-	if o.Workers == 0 {
+	// EditThreshold == 0 is resolved from the data inside ClusterContext
+	// (see autoEditThreshold); it cannot be fixed here because it needs
+	// reads.
+	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	if o.SweepCandidates == 0 {
-		o.SweepCandidates = 32
-	}
-	return o
+	return o, nil
 }
 
-// useReference reports whether this configuration must (or was asked to) run
-// on the map-based reference path. The fast path packs partition keys into a
-// uint64 and indexes grams with a 4^q head table, so keys or grams beyond
-// those limits fall back.
-func (o Options) useReference() bool {
-	return o.Reference || o.PartitionLen > maxPackedPartition || o.GramLen > maxRollingQ
+// roundEngine runs the clustering rounds and straggler-sweep passes of one
+// ClusterContext call, mutating its union-find and Stats.
+type roundEngine interface {
+	runRound(rng *xrand.RNG, round int)
+	runSweepPass(pass uint64) int
+}
+
+// engineMaker builds the roundEngine for one ClusterContext call.
+type engineMaker interface {
+	newEngine(ctx context.Context, reads []dna.Seq, uf *unionFind, o Options, thetaLow, thetaHigh int, editScr []edit.Scratch, stats *Stats) roundEngine
 }
 
 // Stats reports the work a clustering run performed, split the way the
@@ -166,7 +172,7 @@ func (s *Stats) Add(o Stats) {
 	}
 }
 
-// Result is the output of Cluster.
+// Result is the output of ClusterContext.
 type Result struct {
 	// Clusters holds read indices (into the input slice), one slice per
 	// cluster, each sorted ascending. Cluster order is deterministic.
@@ -210,29 +216,16 @@ func (u *unionFind) union(a, b int) bool {
 	return true
 }
 
-// fnv1a hashes a string (for deterministic per-partition RNG streams).
-func fnv1a(s string) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 0x100000001b3
-	}
-	return h
-}
-
-// Cluster groups reads into clusters of (putatively) common origin.
-func Cluster(reads []dna.Seq, opts Options) Result {
-	//dnalint:allow errflow -- background context never cancels, the only error ClusterContext can return
-	res, _ := ClusterContext(context.Background(), reads, opts)
-	return res
-}
-
-// ClusterContext is Cluster with cooperative cancellation: the round loop,
-// the per-partition workers and the straggler sweep all check ctx, and the
-// call returns the context's error (with whatever Stats had accumulated)
-// when it is cancelled or its deadline passes. Results for a completed call
-// are identical to Cluster's.
+// ClusterContext groups reads into clusters of (putatively) common origin.
+// The round loop, the per-partition workers and the straggler sweep all
+// check ctx, and the call returns the context's error (with whatever Stats
+// had accumulated) when it is cancelled or its deadline passes. Options it
+// cannot run make it return an error matching ErrOptions.
 func ClusterContext(ctx context.Context, reads []dna.Seq, opts Options) (Result, error) {
+	o, err := opts.withDefaults()
+	if err != nil {
+		return Result{}, err
+	}
 	if len(reads) == 0 {
 		return Result{}, context.Cause(ctx)
 	}
@@ -242,7 +235,6 @@ func ClusterContext(ctx context.Context, reads []dna.Seq, opts Options) (Result,
 			readLen = len(r)
 		}
 	}
-	o := opts.withDefaults(readLen)
 	rng := xrand.New(o.Seed)
 	uf := newUnionFind(len(reads))
 	var stats Stats
@@ -251,7 +243,7 @@ func ClusterContext(ctx context.Context, reads []dna.Seq, opts Options) (Result,
 	// Automatic threshold configuration (§VI-B) unless the user fixed both.
 	thetaLow, thetaHigh := o.ThetaLow, o.ThetaHigh
 	if thetaLow == 0 && thetaHigh == 0 {
-		cfgGrams := newGramSet(xrand.Derive(o.Seed, 0xc0f1), o.Mode, o.NumGrams, o.GramLen)
+		cfgGrams := newGramSet(xrand.Derive(o.Seed, 0xc0f1), o.Mode, numGrams, o.GramLen)
 		thetaLow, thetaHigh, _ = autoThresholds(ctx, reads, cfgGrams, xrand.Derive(o.Seed, 0xc0f2), o.Workers)
 	}
 	stats.ThetaLow, stats.ThetaHigh = thetaLow, thetaHigh
@@ -263,25 +255,18 @@ func ClusterContext(ctx context.Context, reads []dna.Seq, opts Options) (Result,
 	// passes. Worker w is the only goroutine touching slot w (see
 	// exec.ParallelForW), so no locking is needed.
 	editScr := make([]edit.Scratch, o.Workers)
-	useRef := o.useReference()
-	var rr *roundRunner
-	var sigScr []sigScratch
-	if useRef {
-		sigScr = make([]sigScratch, o.Workers)
+	var eng roundEngine
+	if o.engine != nil {
+		eng = o.engine.newEngine(ctx, reads, uf, o, thetaLow, thetaHigh, editScr, &stats)
 	} else {
-		rr = newRoundRunner(ctx, reads, uf, o, thetaLow, thetaHigh, editScr, &stats)
+		eng = newRoundRunner(ctx, reads, uf, o, thetaLow, thetaHigh, editScr, &stats)
 	}
 
-	rootHint := len(reads)
 	for round := 0; round < o.Rounds; round++ {
 		if err := context.Cause(ctx); err != nil {
 			return Result{Stats: stats}, err
 		}
-		if useRef {
-			rootHint = referenceRound(ctx, reads, uf, rng, o, round, thetaLow, thetaHigh, editScr, sigScr, &stats, rootHint)
-		} else {
-			rr.runRound(rng, round)
-		}
+		eng.runRound(rng, round)
 	}
 
 	if !o.NoStragglerSweep {
@@ -291,22 +276,12 @@ func ClusterContext(ctx context.Context, reads []dna.Seq, opts Options) (Result,
 		// recognize mid-size fragments as stragglers and attach them too.
 		// Each pass draws fresh grams so a straggler whose signature ranked
 		// poorly under one gram set gets an independent second chance.
-		var sweepScr []sweepScratch
-		if useRef {
-			sweepScr = make([]sweepScratch, o.Workers)
-		}
 		for pass := 0; pass < 4; pass++ {
 			if err := context.Cause(ctx); err != nil {
 				stats.ClusterTime += time.Since(sweepStart)
 				return Result{Stats: stats}, err
 			}
-			var merged int
-			if useRef {
-				merged, rootHint = stragglerSweep(ctx, reads, uf, o, uint64(pass), sweepScr, &stats, rootHint)
-			} else {
-				merged = rr.runSweepPass(uint64(pass))
-			}
-			if merged == 0 {
+			if eng.runSweepPass(uint64(pass)) == 0 {
 				break
 			}
 		}

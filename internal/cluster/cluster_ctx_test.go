@@ -3,11 +3,14 @@ package cluster
 import (
 	"context"
 	"errors"
+	"reflect"
+	"runtime"
 	"testing"
+	"time"
 )
 
 func TestClusterContextCancelled(t *testing.T) {
-	reads, _ := makePool(6, 60, 110, 6, 0.03)
+	reads, _ := makePool(t, 6, 60, 110, 6, 0.03)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	res, err := ClusterContext(ctx, reads, Options{Seed: 7})
@@ -20,7 +23,7 @@ func TestClusterContextCancelled(t *testing.T) {
 }
 
 func TestShardedContextCancelled(t *testing.T) {
-	reads, _ := makePool(8, 60, 110, 6, 0.03)
+	reads, _ := makePool(t, 8, 60, 110, 6, 0.03)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := ShardedContext(ctx, reads, 4, Options{Seed: 9}); !errors.Is(err, context.Canceled) {
@@ -28,19 +31,66 @@ func TestShardedContextCancelled(t *testing.T) {
 	}
 }
 
+// TestClusterContextMatchesLegacy pins that a live context changes nothing:
+// a cancellable context with a far deadline, polled all through the run,
+// gives the background context's clusters and decision counters.
 func TestClusterContextMatchesLegacy(t *testing.T) {
-	reads, _ := makePool(10, 60, 110, 6, 0.03)
-	legacy := Cluster(reads, Options{Seed: 11})
-	ctxed, err := ClusterContext(context.Background(), reads, Options{Seed: 11})
+	reads, _ := makePool(t, 10, 60, 110, 6, 0.03)
+	want := mustCluster(t, reads, Options{Seed: 11})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	got, err := ClusterContext(ctx, reads, Options{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(legacy.Clusters) != len(ctxed.Clusters) {
-		t.Fatalf("cluster counts diverge: %d vs %d", len(legacy.Clusters), len(ctxed.Clusters))
+	if !reflect.DeepEqual(got.Clusters, want.Clusters) {
+		t.Fatal("cluster memberships diverge under a live context")
 	}
-	for i := range legacy.Clusters {
-		if len(legacy.Clusters[i]) != len(ctxed.Clusters[i]) {
-			t.Fatalf("cluster %d sizes diverge", i)
+	if got.Stats.Merges != want.Stats.Merges || got.Stats.EditDistanceCalls != want.Stats.EditDistanceCalls {
+		t.Fatalf("stats diverge: %+v vs %+v", got.Stats, want.Stats)
+	}
+}
+
+// TestClusterOptions pins option handling at both entry points: a GramLen
+// outside [0, maxRollingQ] is an ErrOptions error, the limits themselves
+// are accepted, and Workers <= 0 means GOMAXPROCS.
+func TestClusterOptions(t *testing.T) {
+	reads, _ := makePool(t, 12, 40, 110, 5, 0.03)
+	ctx := context.Background()
+	entries := []struct {
+		name string
+		run  func(Options) (Result, error)
+	}{
+		{"ClusterContext", func(o Options) (Result, error) { return ClusterContext(ctx, reads, o) }},
+		{"ShardedContext", func(o Options) (Result, error) { return ShardedContext(ctx, reads, 3, o) }},
+	}
+	for _, e := range entries {
+		for _, q := range []int{-2, -1, maxRollingQ + 1, 12} {
+			if _, err := e.run(Options{GramLen: q, Seed: 13}); !errors.Is(err, ErrOptions) {
+				t.Errorf("%s GramLen %d: err = %v, want ErrOptions", e.name, q, err)
+			}
 		}
+		for _, q := range []int{1, maxRollingQ} {
+			if res, err := e.run(Options{GramLen: q, Seed: 13}); err != nil || len(res.Clusters) == 0 {
+				t.Errorf("%s GramLen %d: %d clusters, err %v", e.name, q, len(res.Clusters), err)
+			}
+		}
+		want, err := e.run(Options{Seed: 13, Workers: runtime.GOMAXPROCS(0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{-1, 0} {
+			got, err := e.run(Options{Seed: 13, Workers: w})
+			if err != nil {
+				t.Fatalf("%s Workers %d: %v", e.name, w, err)
+			}
+			if !reflect.DeepEqual(got.Clusters, want.Clusters) {
+				t.Errorf("%s Workers %d: clusters differ from Workers = GOMAXPROCS", e.name, w)
+			}
+		}
+	}
+	// Invalid options are rejected before the input is looked at.
+	if _, err := ClusterContext(ctx, nil, Options{GramLen: 9}); !errors.Is(err, ErrOptions) {
+		t.Errorf("empty input with GramLen 9: err = %v, want ErrOptions", err)
 	}
 }

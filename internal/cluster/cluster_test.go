@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"testing"
 
 	"dnastore/internal/dna"
@@ -10,17 +11,21 @@ import (
 
 // makePool generates numStrands random strands, pushes them through an IID
 // channel at the given rate with fixed coverage, and returns reads+origins.
-func makePool(seed uint64, numStrands, length, coverage int, rate float64) ([]dna.Seq, []int) {
+func makePool(t testing.TB, seed uint64, numStrands, length, coverage int, rate float64) ([]dna.Seq, []int) {
+	t.Helper()
 	rng := xrand.New(seed)
 	strands := make([]dna.Seq, numStrands)
 	for i := range strands {
 		strands[i] = dna.Random(rng, length)
 	}
-	reads := sim.SimulatePool(strands, sim.Options{
+	reads, err := sim.SimulatePoolContext(context.Background(), strands, sim.Options{
 		Channel:  sim.CalibratedIID(rate),
 		Coverage: sim.FixedCoverage(coverage),
 		Seed:     seed + 1,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	seqs := make([]dna.Seq, len(reads))
 	origins := make([]int, len(reads))
 	for i, r := range reads {
@@ -30,23 +35,44 @@ func makePool(seed uint64, numStrands, length, coverage int, rate float64) ([]dn
 	return seqs, origins
 }
 
+// mustCluster runs ClusterContext under a background context, failing the
+// test on error.
+func mustCluster(t testing.TB, reads []dna.Seq, opts Options) Result {
+	t.Helper()
+	res, err := ClusterContext(context.Background(), reads, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// mustSharded is mustCluster for ShardedContext.
+func mustSharded(t testing.TB, reads []dna.Seq, shards int, opts Options) Result {
+	t.Helper()
+	res, err := ShardedContext(context.Background(), reads, shards, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestClusterEmptyInput(t *testing.T) {
-	res := Cluster(nil, Options{})
+	res := mustCluster(t, nil, Options{})
 	if len(res.Clusters) != 0 {
 		t.Fatal("empty input should give no clusters")
 	}
 }
 
 func TestClusterSingleRead(t *testing.T) {
-	res := Cluster([]dna.Seq{dna.MustFromString("ACGTACGTACGT")}, Options{Seed: 1})
+	res := mustCluster(t, []dna.Seq{dna.MustFromString("ACGTACGTACGT")}, Options{Seed: 1})
 	if len(res.Clusters) != 1 || len(res.Clusters[0]) != 1 {
 		t.Fatalf("got %v", res.Clusters)
 	}
 }
 
 func TestClusterRecoversLowNoise(t *testing.T) {
-	reads, origins := makePool(2, 80, 110, 8, 0.03)
-	res := Cluster(reads, Options{Seed: 3})
+	reads, origins := makePool(t, 2, 80, 110, 8, 0.03)
+	res := mustCluster(t, reads, Options{Seed: 3})
 	acc := Accuracy(res.Clusters, origins, 0.9, 80)
 	if acc < 0.95 {
 		t.Fatalf("accuracy %v at 3%% error", acc)
@@ -54,8 +80,8 @@ func TestClusterRecoversLowNoise(t *testing.T) {
 }
 
 func TestClusterRecoversModerateNoise(t *testing.T) {
-	reads, origins := makePool(4, 80, 110, 8, 0.09)
-	res := Cluster(reads, Options{Seed: 5})
+	reads, origins := makePool(t, 4, 80, 110, 8, 0.09)
+	res := mustCluster(t, reads, Options{Seed: 5})
 	acc := Accuracy(res.Clusters, origins, 0.9, 80)
 	if acc < 0.85 {
 		t.Fatalf("accuracy %v at 9%% error", acc)
@@ -63,8 +89,8 @@ func TestClusterRecoversModerateNoise(t *testing.T) {
 }
 
 func TestClusterWGramMode(t *testing.T) {
-	reads, origins := makePool(6, 80, 110, 8, 0.09)
-	res := Cluster(reads, Options{Seed: 7, Mode: WGram})
+	reads, origins := makePool(t, 6, 80, 110, 8, 0.09)
+	res := mustCluster(t, reads, Options{Seed: 7, Mode: WGram})
 	acc := Accuracy(res.Clusters, origins, 0.9, 80)
 	if acc < 0.85 {
 		t.Fatalf("w-gram accuracy %v at 9%% error", acc)
@@ -72,9 +98,9 @@ func TestClusterWGramMode(t *testing.T) {
 }
 
 func TestClusterDeterministic(t *testing.T) {
-	reads, _ := makePool(8, 40, 100, 5, 0.06)
-	a := Cluster(reads, Options{Seed: 9})
-	b := Cluster(reads, Options{Seed: 9})
+	reads, _ := makePool(t, 8, 40, 100, 5, 0.06)
+	a := mustCluster(t, reads, Options{Seed: 9})
+	b := mustCluster(t, reads, Options{Seed: 9})
 	if len(a.Clusters) != len(b.Clusters) {
 		t.Fatalf("cluster counts differ: %d vs %d", len(a.Clusters), len(b.Clusters))
 	}
@@ -91,8 +117,8 @@ func TestClusterDeterministic(t *testing.T) {
 }
 
 func TestClusterPartitionsCoverAllReads(t *testing.T) {
-	reads, _ := makePool(10, 50, 100, 6, 0.06)
-	res := Cluster(reads, Options{Seed: 11})
+	reads, _ := makePool(t, 10, 50, 100, 6, 0.06)
+	res := mustCluster(t, reads, Options{Seed: 11})
 	seen := make([]bool, len(reads))
 	for _, c := range res.Clusters {
 		for _, r := range c {
@@ -110,8 +136,8 @@ func TestClusterPartitionsCoverAllReads(t *testing.T) {
 }
 
 func TestClusterStatsPopulated(t *testing.T) {
-	reads, _ := makePool(12, 60, 100, 6, 0.06)
-	res := Cluster(reads, Options{Seed: 13})
+	reads, _ := makePool(t, 12, 60, 100, 6, 0.06)
+	res := mustCluster(t, reads, Options{Seed: 13})
 	st := res.Stats
 	if st.Rounds == 0 || st.Merges == 0 {
 		t.Fatalf("stats look empty: %+v", st)
@@ -127,8 +153,8 @@ func TestClusterStatsPopulated(t *testing.T) {
 func TestClusterAvoidsEditDistanceMostly(t *testing.T) {
 	// The whole point of the signature filter: edit-distance calls must be
 	// far fewer than the total pairwise comparisons.
-	reads, _ := makePool(14, 100, 110, 8, 0.06)
-	res := Cluster(reads, Options{Seed: 15})
+	reads, _ := makePool(t, 14, 100, 110, 8, 0.06)
+	res := mustCluster(t, reads, Options{Seed: 15})
 	n := len(reads)
 	if res.Stats.EditDistanceCalls > n*n/20 {
 		t.Fatalf("%d edit-distance calls for %d reads", res.Stats.EditDistanceCalls, n)
@@ -138,7 +164,7 @@ func TestClusterAvoidsEditDistanceMostly(t *testing.T) {
 func TestWGramSignatureDistancesSeparateMore(t *testing.T) {
 	// §VI-C: w-gram signatures push different-origin representatives
 	// further apart (relative to same-origin distances) than q-gram bits.
-	reads, origins := makePool(16, 60, 110, 4, 0.06)
+	reads, origins := makePool(t, 16, 60, 110, 4, 0.06)
 	rng := xrand.New(17)
 	qg := newGramSet(rng, QGram, 48, 4)
 	wg := newGramSet(rng, WGram, 48, 4)
@@ -168,7 +194,7 @@ func TestWGramSignatureDistancesSeparateMore(t *testing.T) {
 }
 
 func TestAutoThresholdsSeparateModes(t *testing.T) {
-	reads, origins := makePool(18, 150, 110, 10, 0.06)
+	reads, origins := makePool(t, 18, 150, 110, 10, 0.06)
 	grams := newGramSet(xrand.New(19), QGram, 48, 4)
 	low, high, hist := AutoThresholds(reads, grams, xrand.New(20))
 	if low >= high {
@@ -263,8 +289,8 @@ func TestSignatureModeString(t *testing.T) {
 }
 
 func TestClusterManualThresholds(t *testing.T) {
-	reads, origins := makePool(21, 60, 110, 6, 0.06)
-	res := Cluster(reads, Options{Seed: 22, ThetaLow: 4, ThetaHigh: 18})
+	reads, origins := makePool(t, 21, 60, 110, 6, 0.06)
+	res := mustCluster(t, reads, Options{Seed: 22, ThetaLow: 4, ThetaHigh: 18})
 	if res.Stats.ThetaLow != 4 || res.Stats.ThetaHigh != 18 {
 		t.Fatalf("manual thresholds not honoured: %+v", res.Stats)
 	}
@@ -274,17 +300,17 @@ func TestClusterManualThresholds(t *testing.T) {
 }
 
 func BenchmarkClusterQGram1000Reads(b *testing.B) {
-	reads, _ := makePool(23, 100, 110, 10, 0.06)
+	reads, _ := makePool(b, 23, 100, 110, 10, 0.06)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Cluster(reads, Options{Seed: 24})
+		mustCluster(b, reads, Options{Seed: 24})
 	}
 }
 
 func BenchmarkClusterWGram1000Reads(b *testing.B) {
-	reads, _ := makePool(23, 100, 110, 10, 0.06)
+	reads, _ := makePool(b, 23, 100, 110, 10, 0.06)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Cluster(reads, Options{Seed: 24, Mode: WGram})
+		mustCluster(b, reads, Options{Seed: 24, Mode: WGram})
 	}
 }

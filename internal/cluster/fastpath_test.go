@@ -11,27 +11,30 @@ import (
 
 	"dnastore/internal/dna"
 	"dnastore/internal/edit"
+	"dnastore/internal/sim"
 	"dnastore/internal/xrand"
 )
 
 // TestFastPathMatchesReference is the PR's central identity pin: the
 // allocation-free fast path must produce byte-identical cluster memberships
 // and identical decision counters (Merges, CheapMerges, EditDistanceCalls)
-// to the retained map-based reference, for both signature modes and across
+// to the map-based reference oracle, for both signature modes and across
 // worker counts, including the auto-threshold configuration path.
 func TestFastPathMatchesReference(t *testing.T) {
-	reads, _ := makePool(101, 150, 110, 6, 0.03)
+	reads, _ := makePool(t, 101, 150, 110, 6, 0.03)
 	gmp := runtime.GOMAXPROCS(0)
 	for _, mode := range []SignatureMode{QGram, WGram} {
-		base := Options{Mode: mode, Seed: 77, Reference: true, Workers: 1}
-		want := Cluster(reads, base)
+		want := mustCluster(t, reads, withReference(Options{Mode: mode, Seed: 77, Workers: 1}))
 		for _, workers := range []int{1, 4, gmp} {
 			for _, ref := range []bool{false, true} {
 				if ref && workers == 1 {
 					continue // that's `want` itself
 				}
-				opts := Options{Mode: mode, Seed: 77, Reference: ref, Workers: workers}
-				got := Cluster(reads, opts)
+				opts := Options{Mode: mode, Seed: 77, Workers: workers}
+				if ref {
+					opts = withReference(opts)
+				}
+				got := mustCluster(t, reads, opts)
 				name := fmt.Sprintf("mode=%v ref=%v workers=%d", mode, ref, workers)
 				if !reflect.DeepEqual(got.Clusters, want.Clusters) {
 					t.Fatalf("%s: cluster memberships diverge from reference", name)
@@ -53,7 +56,7 @@ func TestFastPathMatchesReference(t *testing.T) {
 // WGramFar, which forces wgramDistanceWithin onto its embedded reference
 // loop.
 func TestFastPathMatchesReferenceManualThresholds(t *testing.T) {
-	reads, _ := makePool(103, 80, 100, 5, 0.05)
+	reads, _ := makePool(t, 103, 80, 100, 5, 0.05)
 	for _, tc := range []struct {
 		mode      SignatureMode
 		low, high int
@@ -63,8 +66,8 @@ func TestFastPathMatchesReferenceManualThresholds(t *testing.T) {
 		{WGram, 2, WGramFar + 5}, // degenerate band: sentinel inside it
 	} {
 		opts := Options{Mode: tc.mode, ThetaLow: tc.low, ThetaHigh: tc.high, Seed: 9}
-		want := Cluster(reads, Options{Mode: tc.mode, ThetaLow: tc.low, ThetaHigh: tc.high, Seed: 9, Reference: true})
-		got := Cluster(reads, opts)
+		want := mustCluster(t, reads, withReference(opts))
+		got := mustCluster(t, reads, opts)
 		if !reflect.DeepEqual(got.Clusters, want.Clusters) {
 			t.Fatalf("mode=%v band=[%d,%d]: memberships diverge", tc.mode, tc.low, tc.high)
 		}
@@ -80,13 +83,13 @@ func TestFastPathMatchesReferenceManualThresholds(t *testing.T) {
 }
 
 // TestFastPathShardedMatchesReference extends the identity pin through the
-// sharded entry point, which copies Options per shard (the Reference flag
+// sharded entry point, which copies Options per shard (the reference engine
 // must propagate) and re-clusters shard unions.
 func TestFastPathShardedMatchesReference(t *testing.T) {
-	reads, _ := makePool(105, 100, 110, 5, 0.04)
+	reads, _ := makePool(t, 105, 100, 110, 5, 0.04)
 	for _, mode := range []SignatureMode{QGram, WGram} {
-		want := Sharded(reads, 3, Options{Mode: mode, Seed: 5, Reference: true})
-		got := Sharded(reads, 3, Options{Mode: mode, Seed: 5})
+		want := mustSharded(t, reads, 3, withReference(Options{Mode: mode, Seed: 5}))
+		got := mustSharded(t, reads, 3, Options{Mode: mode, Seed: 5})
 		if !reflect.DeepEqual(got.Clusters, want.Clusters) {
 			t.Fatalf("mode=%v: sharded memberships diverge from reference", mode)
 		}
@@ -97,23 +100,75 @@ func TestFastPathShardedMatchesReference(t *testing.T) {
 	}
 }
 
-// TestReferenceFallbackConfigs pins the automatic fallback: configurations
-// the fast path cannot pack must run (and succeed) on the reference even
-// with Reference unset.
-func TestReferenceFallbackConfigs(t *testing.T) {
-	if !(Options{PartitionLen: maxPackedPartition + 1}).useReference() {
-		t.Error("PartitionLen beyond packing limit should fall back")
+// TestFastPathMatchesReferenceAtScale holds the fast path to the reference
+// on larger pools:
+//
+//   - 960, 9 600 and 38 400 reads (120·mult strands × 110 nt, 3% IID error,
+//     coverage 8) pin the rounds at scale. The larger two lift the sweep's
+//     candidate limit, max(sweepCandidates, clusters/20), above its floor
+//     of 32, but their sweep finds nothing to edit-check: its counters
+//     equal a NoStragglerSweep run's.
+//   - The paper's noisy point at two seeds (700 strands × 128 nt, 6% IID
+//     error, Poisson coverage 10: about 7 000 reads in 700 clusters, limit
+//     35) pins the sweep. Its stragglers are edit-checked against
+//     candidates past rank 32, so dropping clusters/20 from either
+//     implementation breaks the comparison. The test asserts that the sweep
+//     did that work, so these pools cannot silently stop exercising it.
+func TestFastPathMatchesReferenceAtScale(t *testing.T) {
+	type pool struct {
+		name            string
+		rng             *xrand.RNG // draws the strands
+		strands, length int
+		rate            float64
+		coverage        sim.CoverageModel
+		simSeed         uint64
+		sweeps          bool // the sweep must edit-check candidates
 	}
-	if !(Options{GramLen: maxRollingQ + 1}).useReference() {
-		t.Error("GramLen beyond head-table limit should fall back")
+	var pools []pool
+	for _, mult := range []int{1, 10, 40} {
+		pools = append(pools, pool{fmt.Sprintf("3%% IID x%d", mult), xrand.Derive(7, 0x5ca1e+uint64(mult)),
+			120 * mult, 110, 0.03, sim.FixedCoverage(8), 8, false})
 	}
-	if (Options{}).useReference() {
-		t.Error("defaults should use the fast path")
+	for _, seed := range []uint64{1, 2} {
+		pools = append(pools, pool{fmt.Sprintf("noisy point seed %d", seed), xrand.New(seed),
+			700, 128, 0.06, sim.PoissonCoverage(10), seed + 1, true})
 	}
-	reads, _ := makePool(107, 30, 120, 4, 0.03)
-	res := Cluster(reads, Options{PartitionLen: 30, Seed: 3})
-	if len(res.Clusters) == 0 {
-		t.Fatal("fallback clustering produced no clusters")
+	for _, p := range pools {
+		src := make([]dna.Seq, p.strands)
+		for i := range src {
+			src[i] = dna.Random(p.rng, p.length)
+		}
+		reads, err := sim.SimulatePoolContext(context.Background(), src, sim.Options{
+			Channel: sim.CalibratedIID(p.rate), Coverage: p.coverage, Seed: p.simSeed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqs := sim.Sequences(reads)
+		opts := Options{Seed: 10}
+		got := mustCluster(t, seqs, opts)
+		want := mustCluster(t, seqs, withReference(opts))
+		if !reflect.DeepEqual(got.Clusters, want.Clusters) {
+			t.Errorf("%s (%d reads): cluster memberships differ from the reference", p.name, len(seqs))
+		}
+		g, w := got.Stats, want.Stats
+		if g.Merges != w.Merges || g.CheapMerges != w.CheapMerges || g.EditDistanceCalls != w.EditDistanceCalls {
+			t.Errorf("%s (%d reads): decision counters {M:%d CM:%d ED:%d}, reference {M:%d CM:%d ED:%d}",
+				p.name, len(seqs), g.Merges, g.CheapMerges, g.EditDistanceCalls, w.Merges, w.CheapMerges, w.EditDistanceCalls)
+		}
+		if !p.sweeps {
+			continue
+		}
+		opts.NoStragglerSweep = true
+		bare := mustCluster(t, seqs, opts)
+		sweepCalls := g.EditDistanceCalls - bare.Stats.EditDistanceCalls
+		t.Logf("%s: %d reads, %d clusters, %d sweep edit calls", p.name, len(seqs), len(got.Clusters), sweepCalls)
+		if sweepCalls <= 0 {
+			t.Errorf("%s: the straggler sweep made no edit calls", p.name)
+		}
+		if len(got.Clusters)/20 <= sweepCandidates {
+			t.Errorf("%s: %d clusters keep the candidate limit at its floor of %d", p.name, len(got.Clusters), sweepCandidates)
+		}
 	}
 }
 
@@ -327,8 +382,11 @@ func TestSigKernelsZeroAlloc(t *testing.T) {
 // dispatch; the parallel dispatcher's goroutines are outside the claim).
 func TestRoundRunnerZeroAlloc(t *testing.T) {
 	for _, mode := range []SignatureMode{QGram, WGram} {
-		reads, _ := makePool(109, 60, 110, 5, 0.03)
-		o := Options{Mode: mode, ThetaLow: 2, ThetaHigh: 18, EditThreshold: 14, Workers: 1, Seed: 11}.withDefaults(110)
+		reads, _ := makePool(t, 109, 60, 110, 5, 0.03)
+		o, err := Options{Mode: mode, ThetaLow: 2, ThetaHigh: 18, EditThreshold: 14, Workers: 1, Seed: 11}.withDefaults()
+		if err != nil {
+			t.Fatal(err)
+		}
 		uf := newUnionFind(len(reads))
 		var stats Stats
 		editScr := make([]edit.Scratch, 1)
@@ -350,7 +408,7 @@ func TestRoundRunnerZeroAlloc(t *testing.T) {
 // BenchmarkClusterStage times the full clustering call on 600 strands ×
 // coverage 8 = 4800 reads of ~110 bases, fast path vs reference.
 func BenchmarkClusterStage(b *testing.B) {
-	reads, _ := makePool(10, 600, 110, 8, 0.03)
+	reads, _ := makePool(b, 10, 600, 110, 8, 0.03)
 	for _, ref := range []bool{false, true} {
 		name := "fast"
 		if ref {
@@ -359,7 +417,11 @@ func BenchmarkClusterStage(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				Cluster(reads, Options{Seed: 13, Workers: 1, Reference: ref})
+				opts := Options{Seed: 13, Workers: 1}
+				if ref {
+					opts = withReference(opts)
+				}
+				mustCluster(b, reads, opts)
 			}
 		})
 	}
@@ -383,7 +445,7 @@ func TestAutoEditThresholdFilterIdentity(t *testing.T) {
 		{204, 40, 60, 8, 0.05},
 		{205, 150, 110, 1, 0.03}, // singletons: screened search falls back
 	} {
-		reads, _ := makePool(tc.seed, tc.strands, tc.length, tc.coverage, tc.rate)
+		reads, _ := makePool(t, tc.seed, tc.strands, tc.length, tc.coverage, tc.rate)
 		readLen := 0
 		for _, r := range reads {
 			if len(r) > readLen {
@@ -438,7 +500,7 @@ func TestCalibFilterSoundness(t *testing.T) {
 // distance matrix against the reference pass for both modes and several
 // worker counts, including the bit-packed QGram scoring.
 func TestAutoThresholdRowsFastMatchesReference(t *testing.T) {
-	reads, _ := makePool(211, 80, 110, 5, 0.04)
+	reads, _ := makePool(t, 211, 80, 110, 5, 0.04)
 	for _, mode := range []SignatureMode{QGram, WGram} {
 		grams := newGramSet(xrand.Derive(31, 0xc0f1), mode, 48, 4)
 		rng := xrand.Derive(31, 0xc0f2)

@@ -1,14 +1,12 @@
-// Reference implementations of the clustering round and the straggler sweep.
-//
-// These are the original map-based loops, retained verbatim when the fast
-// path (roundstate.go, sweepindex.go) replaced them on the hot path: they
-// stay reachable through Options.Reference and serve as the oracle for the
-// fixed-seed identity tests, and they remain the only implementation for
-// configurations outside the fast path's packing limits (PartitionLen >
-// maxPackedPartition, GramLen > maxRollingQ). Any change here changes the
-// definition of "correct" for the fast path — the identity tests compare
-// the two bit for bit.
 package cluster
+
+// The map-based reference implementations of the clustering round, the
+// straggler sweep, the calibration rows and the table-based signature
+// builder: the oracle the fast path (roundstate.go, sweepindex.go,
+// sigbits.go) is held to. Any change here changes the definition of
+// "correct" for the fast path: the identity tests run ClusterContext and
+// ShardedContext on both engines (withReference selects this one) and
+// compare them bit for bit.
 
 import (
 	"context"
@@ -21,6 +19,53 @@ import (
 	"dnastore/internal/xrand"
 )
 
+// referenceOracle builds referenceEngines through Options.engine.
+type referenceOracle struct{}
+
+// referenceEngine drives referenceRound and stragglerSweep with the state
+// ClusterContext threaded through them: per-worker signature and sweep
+// scratch, and the previous round's cluster count as the next round's size
+// hint.
+type referenceEngine struct {
+	ctx                 context.Context
+	reads               []dna.Seq
+	uf                  *unionFind
+	o                   Options
+	thetaLow, thetaHigh int
+	editScr             []edit.Scratch
+	sigScr              []sigScratch
+	sweepScr            []sweepScratch
+	stats               *Stats
+	rootHint            int
+}
+
+func (referenceOracle) newEngine(ctx context.Context, reads []dna.Seq, uf *unionFind, o Options, thetaLow, thetaHigh int, editScr []edit.Scratch, stats *Stats) roundEngine {
+	return &referenceEngine{
+		ctx: ctx, reads: reads, uf: uf, o: o,
+		thetaLow: thetaLow, thetaHigh: thetaHigh,
+		editScr: editScr, stats: stats,
+		sigScr:   make([]sigScratch, o.Workers),
+		sweepScr: make([]sweepScratch, o.Workers),
+		rootHint: len(reads),
+	}
+}
+
+func (e *referenceEngine) runRound(rng *xrand.RNG, round int) {
+	e.rootHint = referenceRound(e.ctx, e.reads, e.uf, rng, e.o, round, e.thetaLow, e.thetaHigh, e.editScr, e.sigScr, e.stats, e.rootHint)
+}
+
+func (e *referenceEngine) runSweepPass(pass uint64) int {
+	merged, nroots := stragglerSweep(e.ctx, e.reads, e.uf, e.o, pass, e.sweepScr, e.stats, e.rootHint)
+	e.rootHint = nroots
+	return merged
+}
+
+// withReference returns o set to run on the reference engine.
+func withReference(o Options) Options {
+	o.engine = referenceOracle{}
+	return o
+}
+
 // referenceRound runs one clustering round with the map-based reference
 // machinery, mutating uf and stats. rootHint is the previous round's cluster
 // count (or len(reads) for the first round) and pre-sizes this round's root
@@ -28,14 +73,13 @@ import (
 // round's hint.
 func referenceRound(ctx context.Context, reads []dna.Seq, uf *unionFind, rng *xrand.RNG, o Options, round, thetaLow, thetaHigh int, editScr []edit.Scratch, sigScr []sigScratch, stats *Stats, rootHint int) int {
 	// Fresh anchor and grams every round.
-	anchor := dna.Random(rng, o.AnchorLen)
-	grams := newGramSet(xrand.Derive(o.Seed, uint64(round)+1), o.Mode, o.NumGrams, o.GramLen)
+	anchor := dna.Random(rng, anchorLen)
+	grams := newGramSet(xrand.Derive(o.Seed, uint64(round)+1), o.Mode, numGrams, o.GramLen)
 
 	// One representative per current cluster, chosen deterministically:
 	// roots are visited in ascending order.
 	members := make(map[int][]int, rootHint)
 	roots := make([]int, 0, rootHint)
-	//dnalint:allow ctxflow -- reference oracle: the loop shape is frozen for bit-identity with the fast path; the caller polls ctx between rounds
 	for i := range reads {
 		root := uf.find(i)
 		if _, seen := members[root]; !seen {
@@ -45,7 +89,6 @@ func referenceRound(ctx context.Context, reads []dna.Seq, uf *unionFind, rng *xr
 	}
 	sort.Ints(roots)
 	reps := make(map[int]int, len(roots)) // root -> representative read
-	//dnalint:allow ctxflow -- reference oracle: rng consumption per root is part of the frozen decision sequence and must not early-exit
 	for _, root := range roots {
 		ms := members[root]
 		reps[root] = ms[rng.Intn(len(ms))]
@@ -55,14 +98,13 @@ func referenceRound(ctx context.Context, reads []dna.Seq, uf *unionFind, rng *xr
 	// representative; representatives lacking the anchor are hashed by
 	// their prefix instead so they still participate.
 	partitions := map[string][]int{} // key -> roots
-	//dnalint:allow ctxflow -- reference oracle: O(roots) key derivation, frozen for bit-identity with the fast path
 	for _, root := range roots {
 		r := reads[reps[root]]
 		var key string
-		if pos := r.Index(anchor); pos >= 0 && pos+o.AnchorLen+o.PartitionLen <= len(r) {
-			key = "a:" + r[pos+o.AnchorLen:pos+o.AnchorLen+o.PartitionLen].String()
+		if pos := r.Index(anchor); pos >= 0 && pos+anchorLen+partitionLen <= len(r) {
+			key = "a:" + r[pos+anchorLen:pos+anchorLen+partitionLen].String()
 		} else {
-			n := o.PartitionLen
+			n := partitionLen
 			if n > len(r) {
 				n = len(r)
 			}
@@ -72,7 +114,7 @@ func referenceRound(ctx context.Context, reads []dna.Seq, uf *unionFind, rng *xr
 	}
 
 	// Signatures for all representatives, in parallel.
-	sigStart := time.Now() //dnalint:allow determinism -- Stats timing telemetry; never feeds a clustering decision
+	sigStart := time.Now()
 	sigList := make([][]int32, len(roots))
 	exec.ParallelForW(ctx, o.Workers, len(roots), func(w, i int) {
 		sigList[i] = grams.signatureScratch(reads[reps[roots[i]]], &sigScr[w])
@@ -86,7 +128,7 @@ func referenceRound(ctx context.Context, reads []dna.Seq, uf *unionFind, rng *xr
 	// Phase 1 (parallel, deterministic): each partition independently
 	// proposes merges. Edit-distance decisions do not consult the
 	// union-find, so the proposal set is a pure function of the seed.
-	partStart := time.Now() //dnalint:allow determinism -- Stats timing telemetry; never feeds a clustering decision
+	partStart := time.Now()
 	keys := make([]string, 0, len(partitions))
 	for k := range partitions {
 		keys = append(keys, k)
@@ -105,8 +147,8 @@ func referenceRound(ctx context.Context, reads []dna.Seq, uf *unionFind, rng *xr
 		prng := xrand.Derive(o.Seed, fnv1a(key)^uint64(round))
 		pairs := len(group) * (len(group) - 1) / 2
 		stride := 1
-		if pairs > o.MaxPartitionPairs {
-			stride = pairs/o.MaxPartitionPairs + 1
+		if pairs > maxPartitionPairs {
+			stride = pairs/maxPartitionPairs + 1
 		}
 		for ai := 0; ai < len(group); ai++ {
 			for bi := ai + 1; bi < len(group); bi++ {
@@ -132,7 +174,6 @@ func referenceRound(ctx context.Context, reads []dna.Seq, uf *unionFind, rng *xr
 	})
 	// Phase 2 (serial): apply proposals. The final connected components
 	// are independent of application order.
-	//dnalint:allow ctxflow -- serial apply of already-computed merges: O(proposals) pointer swaps, no blocking calls
 	for ki := range proposalsPer {
 		stats.EditDistanceCalls += editCalls[ki]
 		for _, p := range proposalsPer[ki] {
@@ -150,8 +191,6 @@ func referenceRound(ctx context.Context, reads []dna.Seq, uf *unionFind, rng *xr
 // edit-distance DP scratch, the signature first-occurrence table, the
 // averaged-signature accumulators and the candidate-ranking buffer. Slot w
 // is touched only by worker w (exec.ParallelForW), never shared.
-//
-//dnalint:scratch
 type sweepScratch struct {
 	edit  edit.Scratch
 	sig   sigScratch
@@ -159,18 +198,6 @@ type sweepScratch struct {
 	count []int32
 	cands []sweepCand
 }
-
-// sweepCand is a candidate cluster for a straggler merge, ranked by distance
-// to the cluster's averaged signature.
-type sweepCand struct {
-	j int
-	d float32
-}
-
-// sweepSigReads bounds how many members contribute to a cluster's averaged
-// sweep signature: the mean denoises individual read errors, and a handful
-// of members is enough for the averaging to converge.
-const sweepSigReads = 6
 
 // stragglerSweep merges small clusters into their nearest cluster when an
 // edit-distance check confirms common origin. It returns the number of
@@ -206,7 +233,7 @@ func stragglerSweep(ctx context.Context, reads []dna.Seq, uf *unionFind, o Optio
 	// The sweep ranks every cluster, so its signature needs to be far more
 	// discriminative than the per-round ones: use triple the grams (the
 	// rolling-hash signature makes the extra grams nearly free).
-	grams := newGramSet(xrand.Derive(o.Seed, 0x5feeb+pass), o.Mode, 3*o.NumGrams, o.GramLen)
+	grams := newGramSet(xrand.Derive(o.Seed, 0x5feeb+pass), o.Mode, 3*numGrams, o.GramLen)
 	reps := make([]int, len(roots))
 	for i, root := range roots {
 		reps[i] = members[root][0]
@@ -291,7 +318,7 @@ func stragglerSweep(ctx context.Context, reads []dna.Seq, uf *unionFind, o Optio
 		})
 		// With many clusters the nearest-k ranking gets noisier; scale the
 		// edit-checked candidate count with the cluster population.
-		limit := o.SweepCandidates
+		limit := sweepCandidates
 		if scaled := len(roots) / 20; scaled > limit {
 			limit = scaled
 		}
@@ -309,7 +336,6 @@ func stragglerSweep(ctx context.Context, reads []dna.Seq, uf *unionFind, o Optio
 			merges[i] = append(merges[i], merge{roots[i], roots[bestJ]})
 		}
 	})
-	//dnalint:allow ctxflow -- serial apply of already-computed merges: O(clusters) pointer swaps, no blocking calls
 	for i := range merges {
 		stats.EditDistanceCalls += editCalls[i]
 		for _, m := range merges[i] {
@@ -320,4 +346,120 @@ func stragglerSweep(ctx context.Context, reads []dna.Seq, uf *unionFind, o Optio
 		}
 	}
 	return applied, len(roots)
+}
+
+// fnv1a hashes a string (for deterministic per-partition RNG streams).
+func fnv1a(s string) uint64 {
+	h := uint64(0xcbf29ce484222325)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 0x100000001b3
+	}
+	return h
+}
+
+// sigScratch holds the reusable first-occurrence table behind signature
+// computation. The table is 4^q entries — by far the largest allocation on
+// the signature path — so parallel callers hold one sigScratch per worker
+// and reuse it across every read that worker signs. The zero value is ready
+// to use; a sigScratch must never be shared between goroutines.
+type sigScratch struct {
+	table []int32
+}
+
+// firstOccurrences returns a table of the first position of every q-gram in
+// the read (-1 when absent), built in one pass. The per-call-allocating
+// wrapper around firstOccurrencesInto.
+func (gs gramSet) firstOccurrences(read dna.Seq) []int32 {
+	var sc sigScratch
+	return gs.firstOccurrencesInto(read, &sc)
+}
+
+// firstOccurrencesInto is firstOccurrences backed by reusable scratch: the
+// returned table aliases sc.table and is only valid until the next call on
+// the same scratch.
+func (gs gramSet) firstOccurrencesInto(read dna.Seq, sc *sigScratch) []int32 {
+	size := 1 << (2 * uint(gs.q))
+	if cap(sc.table) < size {
+		sc.table = make([]int32, size)
+	}
+	table := sc.table[:size]
+	for i := range table {
+		table[i] = -1
+	}
+	if len(read) < gs.q {
+		return table
+	}
+	mask := uint32(size - 1)
+	var code uint32
+	for i, b := range read {
+		code = (code<<2 | uint32(b&3)) & mask
+		if i >= gs.q-1 {
+			pos := i - gs.q + 1
+			if table[code] < 0 {
+				table[code] = int32(pos)
+			}
+		}
+	}
+	return table
+}
+
+// signature computes the representative's signature. For QGram entries are
+// 0/1 presence flags; for WGram they are first-occurrence positions with
+// wgramAbsent standing in for "absent".
+func (gs gramSet) signature(read dna.Seq) []int32 {
+	var sc sigScratch
+	return gs.signatureScratch(read, &sc)
+}
+
+// signatureScratch is signature with the first-occurrence table drawn from
+// per-worker scratch. The returned signature is always freshly allocated
+// (callers retain signatures across the whole round); only the internal
+// table is reused, so results are bit-identical to signature.
+func (gs gramSet) signatureScratch(read dna.Seq, sc *sigScratch) []int32 {
+	sig := make([]int32, len(gs.grams))
+	table := gs.firstOccurrencesInto(read, sc)
+	for i, code := range gs.codes {
+		pos := table[code]
+		if gs.mode == QGram {
+			if pos >= 0 {
+				sig[i] = 1
+			}
+		} else {
+			sig[i] = pos
+		}
+	}
+	return sig
+}
+
+// autoThresholdRowsRef fills the probe-by-sample distance matrix with the
+// reference signature machinery. Nil signatures (a panic-contained item)
+// leave their entries at the -1 sentinel — their 1<<30 distance would
+// otherwise size the histogram.
+func autoThresholdRowsRef(ctx context.Context, reads []dna.Seq, grams gramSet, probes, sample []int, rows []int, workers int) {
+	nProbe, nSample := len(probes), len(sample)
+	scs := make([]sigScratch, workers)
+	probeSigs := make([][]int32, nProbe)
+	sampleSigs := make([][]int32, nSample)
+	exec.ParallelForW(ctx, workers, nProbe+nSample, func(w, i int) {
+		if i < nProbe {
+			probeSigs[i] = grams.signatureScratch(reads[probes[i]], &scs[w])
+		} else {
+			sampleSigs[i-nProbe] = grams.signatureScratch(reads[sample[i-nProbe]], &scs[w])
+		}
+	})
+	exec.ParallelForW(ctx, workers, nProbe, func(_, i int) {
+		row := rows[i*nSample : (i+1)*nSample]
+		pi := probes[i]
+		psig := probeSigs[i]
+		if psig == nil {
+			return
+		}
+		for j, sj := range sample {
+			if pi == sj || sampleSigs[j] == nil {
+				continue
+			}
+			row[j] = grams.distance(psig, sampleSigs[j])
+		}
+	})
 }

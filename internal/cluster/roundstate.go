@@ -1,9 +1,10 @@
 // Allocation-free round state for the clustering fast path. The reference
-// round (reference.go) rebuilds map[int][]int members, map[int]int reps,
-// map[int][]int32 sigs and a string-keyed partition map every round; at tens
-// of thousands of clusters those maps dominate the round's time and churn
-// the heap. The fast path keeps the same algorithm but holds every per-round
-// structure in a roundRunner's reusable flat slices:
+// round (the test-only oracle in reference_test.go) rebuilds map[int][]int
+// members, map[int]int reps, map[int][]int32 sigs and a string-keyed
+// partition map every round; at tens of thousands of clusters those maps
+// dominate the round's time and churn the heap. The fast path keeps the same
+// algorithm but holds every per-round structure in a roundRunner's reusable
+// flat slices:
 //
 //   - the union-find snapshot becomes CSR form (dense ascending roots,
 //     per-root member spans),
@@ -33,9 +34,11 @@ import (
 )
 
 // maxPackedPartition is the longest partition key the packed uint64 encoding
-// holds (56 bits of bases + 7 bits of length + the tag bit). Longer
-// PartitionLen configurations fall back to the reference path.
+// holds (56 bits of bases + 7 bits of length + the tag bit).
 const maxPackedPartition = 28
+
+// partitionLen must fit the packed key: this fails to compile otherwise.
+const _ = uint(maxPackedPartition - partitionLen)
 
 // partEntry is one cluster's partition assignment: the packed key and the
 // cluster's dense root index.
@@ -221,7 +224,7 @@ type roundRunner struct {
 	// rng and a skipped row is never consulted, so the lazy pass is
 	// decision-identical to the reference's compute-all pass.
 	sigQ      []uint64 // packed q-gram rows, qw words each
-	sigW      []int32  // w-gram rows, NumGrams entries each
+	sigW      []int32  // w-gram rows, numGrams entries each
 	sigOK     []bool
 	sigNeeded []bool
 	qw        int
@@ -260,8 +263,8 @@ func newRoundRunner(ctx context.Context, reads []dna.Seq, uf *unionFind, o Optio
 		rootIdx:   make([]int32, n),
 		memberOff: make([]int32, n+1),
 		members:   make([]int32, n),
-		anchorBuf: make(dna.Seq, o.AnchorLen),
-		qw:        sigWords(o.NumGrams),
+		anchorBuf: make(dna.Seq, anchorLen),
+		qw:        sigWords(numGrams),
 		prng:      make([]xrand.RNG, o.Workers),
 		wprops:    make([][]pairProposal, o.Workers),
 	}
@@ -316,14 +319,15 @@ func (rr *roundRunner) buildState() int {
 }
 
 // runRound executes one clustering round: identical decisions, rng draws and
-// Stats increments as referenceRound, no steady-state allocations.
+// Stats increments as the reference round (reference_test.go), no
+// steady-state allocations.
 func (rr *roundRunner) runRound(rng *xrand.RNG, round int) {
 	o := rr.o
 	rr.round = round
 	// Fresh anchor and grams every round, consuming rng like the reference.
 	fillRandomSeq(rng, rr.anchorBuf)
 	rr.gsRng.ReseedDerive(o.Seed, uint64(round)+1)
-	rr.gs.fill(&rr.gsRng, o.Mode, o.NumGrams, o.GramLen)
+	rr.gs.fill(&rr.gsRng, o.Mode, numGrams, o.GramLen)
 
 	nr := rr.buildState()
 	// One representative per cluster: one Intn per dense root, ascending —
@@ -343,10 +347,10 @@ func (rr *roundRunner) runRound(rng *xrand.RNG, round int) {
 	for d := 0; d < nr; d++ {
 		r := rr.reads[reps[d]]
 		var key uint64
-		if pos := anchorIndex(r, anchor); pos >= 0 && pos+o.AnchorLen+o.PartitionLen <= len(r) {
-			key = packPartKey(false, r[pos+o.AnchorLen:pos+o.AnchorLen+o.PartitionLen])
+		if pos := anchorIndex(r, anchor); pos >= 0 && pos+anchorLen+partitionLen <= len(r) {
+			key = packPartKey(false, r[pos+anchorLen:pos+anchorLen+partitionLen])
 		} else {
-			n := o.PartitionLen
+			n := partitionLen
 			if n > len(r) {
 				n = len(r)
 			}
@@ -379,7 +383,7 @@ func (rr *roundRunner) runRound(rng *xrand.RNG, round int) {
 	if o.Mode == QGram {
 		rr.sigQ = ensureUint64(&rr.sigQ, nr*rr.qw)
 	} else {
-		rr.sigW = ensureInt32(&rr.sigW, nr*o.NumGrams)
+		rr.sigW = ensureInt32(&rr.sigW, nr*numGrams)
 	}
 	if cap(rr.sigOK) < nr {
 		rr.sigOK = make([]bool, nr)
@@ -457,7 +461,7 @@ func (rr *roundRunner) sigItem(_, i int) {
 	if rr.o.Mode == QGram {
 		rr.gs.idx.qsigBitsInto(rr.gs.set, read, rr.sigQ[i*rr.qw:(i+1)*rr.qw])
 	} else {
-		g := rr.o.NumGrams
+		g := numGrams
 		rr.gs.idx.signatureInto(rr.gs.set, read, rr.sigW[i*g:(i+1)*g])
 	}
 	rr.sigOK[i] = true
@@ -478,8 +482,8 @@ func (rr *roundRunner) groupItem(w, gi int) {
 	}
 	pairs := len(group) * (len(group) - 1) / 2
 	stride := 1
-	if pairs > o.MaxPartitionPairs {
-		stride = pairs/o.MaxPartitionPairs + 1
+	if pairs > maxPartitionPairs {
+		stride = pairs/maxPartitionPairs + 1
 	}
 	prng := &rr.prng[w]
 	if stride > 1 {
@@ -502,7 +506,7 @@ func (rr *roundRunner) groupItem(w, gi int) {
 			case o.Mode == QGram:
 				d = hammingPacked(rr.sigQ[a*rr.qw:(a+1)*rr.qw], rr.sigQ[b*rr.qw:(b+1)*rr.qw])
 			default:
-				g := o.NumGrams
+				g := numGrams
 				d = wgramDistanceWithin(rr.sigW[a*g:(a+1)*g], rr.sigW[b*g:(b+1)*g], rr.thetaHigh)
 			}
 			if d > rr.thetaHigh {

@@ -9,38 +9,31 @@ import (
 	"dnastore/internal/xrand"
 )
 
-// Sharded runs the clustering algorithm in the distributed setting described
-// by Rashtchian et al. (§VI-A: "the algorithm ... [must] be distributed to
-// efficiently utilize all the resources available"): reads are split across
-// independent shards (emulating machines), each shard clusters its slice
-// with the normal multi-round algorithm, and a final representative-level
-// round merges fragments of the same strand that landed on different
-// shards. Within one process the shards run concurrently; the structure is
-// exactly what a multi-machine deployment would use, with the
-// representative exchange as the only communication step.
-func Sharded(reads []dna.Seq, shards int, opts Options) Result {
-	//dnalint:allow errflow -- background context never cancels, the only error ShardedContext can return
-	res, _ := ShardedContext(context.Background(), reads, shards, opts)
-	return res
-}
-
-// ShardedContext is Sharded with cooperative cancellation, returning the
-// context's error when the run is cancelled mid-flight. A shard whose
+// ShardedContext runs the clustering algorithm in the distributed setting
+// described by Rashtchian et al. (§VI-A: "the algorithm ... [must] be
+// distributed to efficiently utilize all the resources available"): reads
+// are split across independent shards (emulating machines), each shard
+// clusters its slice with the normal multi-round algorithm, and a final
+// representative-level round merges fragments of the same strand that
+// landed on different shards. Within one process the shards run
+// concurrently; the structure is exactly what a multi-machine deployment
+// would use, with the representative exchange as the only communication
+// step.
+//
+// Cancelling ctx returns the context's error, and Options ClusterContext
+// would reject return ErrOptions before any shard starts. A shard whose
 // clustering panics is salvaged: its reads fall back to singleton clusters,
 // which the representative-level merge round can still attach to surviving
-// shards' clusters — the distributed analogue of treating a failed machine's
-// partial work as lost but its input as recoverable.
+// shards' clusters — the distributed analogue of treating a failed
+// machine's partial work as lost but its input as recoverable.
 func ShardedContext(ctx context.Context, reads []dna.Seq, shards int, opts Options) (Result, error) {
+	o, err := opts.withDefaults()
+	if err != nil {
+		return Result{}, err
+	}
 	if shards <= 1 || len(reads) < 2*shards {
 		return ClusterContext(ctx, reads, opts)
 	}
-	readLen := 0
-	for _, r := range reads {
-		if len(r) > readLen {
-			readLen = len(r)
-		}
-	}
-	o := opts.withDefaults(readLen)
 
 	// Deterministic round-robin assignment (a real deployment hashes read
 	// IDs; origins are unknown either way, so fragments are expected).
@@ -59,7 +52,7 @@ func ShardedContext(ctx context.Context, reads []dna.Seq, shards int, opts Optio
 		shardOpts.Seed = xrand.Derive(o.Seed, uint64(s)).Uint64()
 		// Shards emulate separate machines; each keeps its own workers.
 		shardOpts.Workers = (o.Workers + shards - 1) / shards
-		//dnalint:allow errflow -- cancellation is re-checked via context.Cause after the parallel-for; a cancelled shard's partial result is discarded there
+		//dnalint:allow errflow -- the options were validated above, so cancellation is the only error left; it is re-checked via context.Cause after the parallel-for, which discards a cancelled shard's partial result
 		shardResults[s], _ = ClusterContext(ctx, shardReads[s], shardOpts)
 	})
 	if err := context.Cause(ctx); err != nil {

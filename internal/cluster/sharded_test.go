@@ -8,9 +8,9 @@ import (
 )
 
 func TestShardedMatchesSingleNodeAccuracy(t *testing.T) {
-	reads, origins := makePool(51, 150, 110, 8, 0.06)
-	single := Cluster(reads, Options{Seed: 52})
-	sharded := Sharded(reads, 4, Options{Seed: 52})
+	reads, origins := makePool(t, 51, 150, 110, 8, 0.06)
+	single := mustCluster(t, reads, Options{Seed: 52})
+	sharded := mustSharded(t, reads, 4, Options{Seed: 52})
 	accSingle := Accuracy(single.Clusters, origins, 0.9, 150)
 	accSharded := Accuracy(sharded.Clusters, origins, 0.9, 150)
 	if accSharded < accSingle-0.08 {
@@ -22,8 +22,8 @@ func TestShardedMatchesSingleNodeAccuracy(t *testing.T) {
 }
 
 func TestShardedCoversAllReadsOnce(t *testing.T) {
-	reads, _ := makePool(53, 60, 100, 6, 0.06)
-	res := Sharded(reads, 3, Options{Seed: 54})
+	reads, _ := makePool(t, 53, 60, 100, 6, 0.06)
+	res := mustSharded(t, reads, 3, Options{Seed: 54})
 	seen := make([]bool, len(reads))
 	for _, c := range res.Clusters {
 		for _, r := range c {
@@ -41,18 +41,18 @@ func TestShardedCoversAllReadsOnce(t *testing.T) {
 }
 
 func TestShardedDegeneratesToSingle(t *testing.T) {
-	reads, _ := makePool(55, 20, 100, 4, 0.03)
-	a := Sharded(reads, 1, Options{Seed: 56})
-	b := Cluster(reads, Options{Seed: 56})
+	reads, _ := makePool(t, 55, 20, 100, 4, 0.03)
+	a := mustSharded(t, reads, 1, Options{Seed: 56})
+	b := mustCluster(t, reads, Options{Seed: 56})
 	if len(a.Clusters) != len(b.Clusters) {
 		t.Fatalf("shards=1 gave %d clusters, single gave %d", len(a.Clusters), len(b.Clusters))
 	}
 }
 
 func TestShardedDeterministic(t *testing.T) {
-	reads, _ := makePool(57, 80, 100, 6, 0.06)
-	a := Sharded(reads, 4, Options{Seed: 58})
-	b := Sharded(reads, 4, Options{Seed: 58})
+	reads, _ := makePool(t, 57, 80, 100, 6, 0.06)
+	a := mustSharded(t, reads, 4, Options{Seed: 58})
+	b := mustSharded(t, reads, 4, Options{Seed: 58})
 	if len(a.Clusters) != len(b.Clusters) {
 		t.Fatal("nondeterministic cluster count")
 	}
@@ -69,8 +69,8 @@ func TestShardedDeterministic(t *testing.T) {
 }
 
 func TestShardedPurity(t *testing.T) {
-	reads, origins := makePool(59, 100, 110, 8, 0.09)
-	res := Sharded(reads, 4, Options{Seed: 60})
+	reads, origins := makePool(t, 59, 100, 110, 8, 0.09)
+	res := mustSharded(t, reads, 4, Options{Seed: 60})
 	if p := Purity(res.Clusters, origins); p < 0.99 {
 		t.Fatalf("sharded purity %v", p)
 	}
@@ -85,12 +85,12 @@ func TestShardedCountsMetaRoundCheapMerges(t *testing.T) {
 	a, b := dna.Random(rng, 110), dna.Random(rng, 110)
 	reads := []dna.Seq{a, a, a, b, b, b}
 	opts := Options{Seed: 9, ThetaLow: 3, ThetaHigh: 20, EditThreshold: 10}
-	res := Sharded(reads, 3, opts)
+	res := mustSharded(t, reads, 3, opts)
 	if len(res.Clusters) != 2 || res.Stats.Merges != 4 {
 		t.Fatalf("got %d clusters and %d merges, want 2 and 4", len(res.Clusters), res.Stats.Merges)
 	}
 	// Identical reads sit at signature distance 0, within ThetaLow, so every
-	// merge decision is cheap: Cluster on the same reads counts 6 as well.
+	// merge decision is cheap: ClusterContext on the same reads counts 6 as well.
 	if res.Stats.CheapMerges != 6 {
 		t.Fatalf("CheapMerges = %d, want the meta round's 6", res.Stats.CheapMerges)
 	}

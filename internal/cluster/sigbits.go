@@ -158,7 +158,7 @@ func (gi *gramIndex) build(gs gramSet) {
 }
 
 // signatureInto fills dst (len == len(gs.grams)) with the read's reference
-// []int32 signature — bit-identical to gs.signatureScratch — in one
+// []int32 signature — bit-identical to the reference oracle's — in one
 // rolling-hash pass over the read.
 //
 //dnalint:hotpath

@@ -41,9 +41,10 @@ type gramSet struct {
 	mode  SignatureMode
 }
 
-// maxRollingQ bounds the gram length for the packed fast path (4^12 codes
-// would still fit uint32, but the first-occurrence table is sized 4^q, so
-// keep it small enough to allocate per call).
+// maxRollingQ bounds the gram length q (4^12 codes would still fit uint32,
+// but gramIndex's head table is sized 4^q, so keep it small enough to
+// rebuild every round). Options.GramLen beyond it is rejected with
+// ErrOptions.
 const maxRollingQ = 8
 
 // newGramSet samples count random grams of length q.
@@ -64,56 +65,6 @@ func packGram(g dna.Seq) uint32 {
 		c = c<<2 | uint32(b&3)
 	}
 	return c
-}
-
-// sigScratch holds the reusable first-occurrence table behind signature
-// computation. The table is 4^q entries — by far the largest allocation on
-// the signature path — so parallel callers hold one sigScratch per worker
-// and reuse it across every read that worker signs. The zero value is ready
-// to use; a sigScratch must never be shared between goroutines.
-//
-//dnalint:scratch
-type sigScratch struct {
-	table []int32
-}
-
-// firstOccurrences returns a table of the first position of every q-gram in
-// the read (-1 when absent), built in one pass. The per-call-allocating
-// wrapper around firstOccurrencesInto.
-func (gs gramSet) firstOccurrences(read dna.Seq) []int32 {
-	var sc sigScratch
-	return gs.firstOccurrencesInto(read, &sc)
-}
-
-// firstOccurrencesInto is firstOccurrences backed by reusable scratch: the
-// returned table aliases sc.table and is only valid until the next call on
-// the same scratch.
-//
-//dnalint:hotpath
-func (gs gramSet) firstOccurrencesInto(read dna.Seq, sc *sigScratch) []int32 {
-	size := 1 << (2 * uint(gs.q))
-	if cap(sc.table) < size {
-		sc.table = make([]int32, size) //dnalint:allow hotpathalloc -- amortized capacity growth, reused across every read this worker signs
-	}
-	table := sc.table[:size]
-	for i := range table {
-		table[i] = -1
-	}
-	if len(read) < gs.q {
-		return table
-	}
-	mask := uint32(size - 1)
-	var code uint32
-	for i, b := range read {
-		code = (code<<2 | uint32(b&3)) & mask
-		if i >= gs.q-1 {
-			pos := i - gs.q + 1
-			if table[code] < 0 {
-				table[code] = int32(pos)
-			}
-		}
-	}
-	return table
 }
 
 // wgramAbsent marks a gram that does not occur in the read.
@@ -150,48 +101,6 @@ const sigMissingFar = 1 << 30
 // unlike +Inf/NaN) and strictly larger than any real distance, so a missing
 // signature can never rank ahead of a genuine candidate.
 const sigMissingFarMean = float32(math.MaxFloat32)
-
-// signature computes the representative's signature. For QGram entries are
-// 0/1 presence flags; for WGram they are first-occurrence positions with
-// wgramAbsent standing in for "absent".
-func (gs gramSet) signature(read dna.Seq) []int32 {
-	var sc sigScratch
-	return gs.signatureScratch(read, &sc)
-}
-
-// signatureScratch is signature with the first-occurrence table drawn from
-// per-worker scratch. The returned signature is always freshly allocated
-// (callers retain signatures across the whole round); only the internal
-// table is reused, so results are bit-identical to signature.
-func (gs gramSet) signatureScratch(read dna.Seq, sc *sigScratch) []int32 {
-	sig := make([]int32, len(gs.grams))
-	if gs.q <= maxRollingQ {
-		table := gs.firstOccurrencesInto(read, sc)
-		for i, code := range gs.codes {
-			pos := table[code]
-			if gs.mode == QGram {
-				if pos >= 0 {
-					sig[i] = 1
-				}
-			} else {
-				sig[i] = pos
-			}
-		}
-		return sig
-	}
-	for i, g := range gs.grams {
-		pos := read.Index(g)
-		switch gs.mode {
-		case QGram:
-			if pos >= 0 {
-				sig[i] = 1
-			}
-		default:
-			sig[i] = int32(pos) // -1 when absent
-		}
-	}
-	return sig
-}
 
 // distance compares two signatures: Hamming for QGram; for WGram, the
 // scaled mean capped position drift over co-present grams (the L1 norm of

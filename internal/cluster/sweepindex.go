@@ -1,9 +1,10 @@
 // Indexed straggler sweep — the fast-path replacement for the reference
-// stragglerSweep (reference.go). The reference ranks, for every straggler,
-// every other cluster by exact meanDistance and then fully sorts the list:
-// O(S·R·G + S·R log R) for S stragglers over R clusters. The sweep here keeps
-// the identical outcome but gets the candidate list through a gram-inverted
-// index over the clusters' averaged signatures:
+// stragglerSweep (the test-only oracle in reference_test.go). The reference
+// ranks, for every straggler, every other cluster by exact meanDistance and
+// then fully sorts the list: O(S·R·G + S·R log R) for S stragglers over R
+// clusters. The sweep here keeps the identical outcome but gets the
+// candidate list through a gram-inverted index over the clusters' averaged
+// signatures:
 //
 //  1. a screen pass accumulates, per candidate cluster j, the algebraic
 //     decomposition of the mean distance over only the grams the straggler
@@ -43,7 +44,7 @@ import (
 
 // sweepScreenMargin is added to the limit-th smallest approximate distance
 // to form the screen threshold. The approximate and exact distances differ
-// only by float32 summation order; with ≤ 3·NumGrams terms each bounded by
+// only by float32 summation order; with ≤ 3·numGrams terms each bounded by
 // wgramCap the reassociation error is far below 1.0, and the margin covers
 // it with an order of magnitude to spare. Soundness: if d_j is within the
 // exact top-limit then d_j ≤ d_(limit), and since every candidate satisfies
@@ -52,6 +53,18 @@ import (
 // that is too generous only grows the exact-recompute set, never changes
 // the result.
 const sweepScreenMargin = 4.0
+
+// sweepSigReads bounds how many members contribute to a cluster's averaged
+// sweep signature: the mean denoises individual read errors, and a handful
+// of members is enough for the averaging to converge.
+const sweepSigReads = 6
+
+// sweepCand is a candidate cluster for a straggler merge, ranked by distance
+// to the cluster's averaged signature.
+type sweepCand struct {
+	j int
+	d float32
+}
 
 // sweepWorker is one worker's reusable straggler-sweep state. Slot w is
 // touched only by worker w (exec.ParallelForW), never shared.
@@ -111,8 +124,9 @@ func ensureFloat32(s *[]float32, n int) []float32 {
 }
 
 // runSweepPass executes one straggler-sweep pass on the fast path: identical
-// merges, edit-distance calls and Stats to stragglerSweep, via the indexed
-// candidate screen. Returns the number of merges applied.
+// merges, edit-distance calls and Stats to the reference sweep
+// (reference_test.go), via the indexed candidate screen. Returns the number
+// of merges applied.
 func (rr *roundRunner) runSweepPass(pass uint64) int {
 	o := rr.o
 	nr := rr.buildState()
@@ -138,7 +152,7 @@ func (rr *roundRunner) runSweepPass(pass uint64) int {
 
 	// Sweep grams: triple the per-round count, fresh per pass, drawn from
 	// the same derived stream as the reference.
-	G := 3 * o.NumGrams
+	G := 3 * numGrams
 	rr.gsRng.ReseedDerive(o.Seed, 0x5feeb+pass)
 	sw.gs.fill(&rr.gsRng, o.Mode, G, o.GramLen)
 
@@ -360,7 +374,7 @@ func (rr *roundRunner) sweepStragglerItem(w, i int) {
 
 	// Approximate distance for every candidate; a bounded max-heap of the
 	// smallest limit values yields the screen threshold.
-	limit := o.SweepCandidates
+	limit := sweepCandidates
 	if scaled := nr / 20; scaled > limit {
 		limit = scaled
 	}

@@ -271,8 +271,8 @@ func AutoThresholds(reads []dna.Seq, grams gramSet, rng *xrand.RNG) (thetaLow, t
 // The sampling permutation is drawn serially before any goroutine starts and
 // the per-probe distance rows are merged back in probe order, so thresholds
 // and histogram are bit-identical for every worker count (pinned by
-// TestAutoThresholdsParallelDeterministic). Each worker owns one sigScratch
-// slot, per the scratch ownership rules in DESIGN.md.
+// TestAutoThresholdsParallelDeterministic). Workers share one read-only gram
+// index and write disjoint rows.
 func autoThresholds(ctx context.Context, reads []dna.Seq, grams gramSet, rng *xrand.RNG, workers int) (thetaLow, thetaHigh int, hist []int) {
 	if workers < 1 {
 		workers = 1
@@ -291,19 +291,13 @@ func autoThresholds(ctx context.Context, reads []dna.Seq, grams gramSet, rng *xr
 
 	// Rows are pre-filled with the "no evidence" sentinel so a
 	// panic-contained or cancelled row item reads as skipped rather than as
-	// a spurious distance-0 pair. The fast row pass requires the rolling
-	// gram scan (q <= maxRollingQ), mirroring the clustering fast path's
-	// gate; TestAutoThresholdRowsFastMatchesReference pins the two passes
-	// bit-identical.
+	// a spurious distance-0 pair. TestAutoThresholdRowsFastMatchesReference
+	// pins the rows to the reference pass.
 	rows := make([]int, nProbe*nSample)
 	for i := range rows {
 		rows[i] = -1
 	}
-	if grams.q <= maxRollingQ {
-		autoThresholdRowsFast(ctx, reads, grams, probes, sample, rows, workers)
-	} else {
-		autoThresholdRowsRef(ctx, reads, grams, probes, sample, rows, workers)
-	}
+	autoThresholdRowsFast(ctx, reads, grams, probes, sample, rows, workers)
 
 	// Serial merge in probe order: identical dists/maxD/nearest to the
 	// serial pass regardless of how the rows were scheduled.
@@ -373,46 +367,15 @@ func autoThresholds(ctx context.Context, reads []dna.Seq, grams gramSet, rng *xr
 	return thetaLow, thetaHigh, hist
 }
 
-// autoThresholdRowsRef fills the probe-by-sample distance matrix with the
-// reference signature machinery. Nil signatures (a panic-contained item)
-// leave their entries at the -1 sentinel — their 1<<30 distance would
-// otherwise size the histogram.
-func autoThresholdRowsRef(ctx context.Context, reads []dna.Seq, grams gramSet, probes, sample []int, rows []int, workers int) {
-	nProbe, nSample := len(probes), len(sample)
-	scs := make([]sigScratch, workers)
-	probeSigs := make([][]int32, nProbe)
-	sampleSigs := make([][]int32, nSample)
-	exec.ParallelForW(ctx, workers, nProbe+nSample, func(w, i int) {
-		if i < nProbe {
-			probeSigs[i] = grams.signatureScratch(reads[probes[i]], &scs[w])
-		} else {
-			sampleSigs[i-nProbe] = grams.signatureScratch(reads[sample[i-nProbe]], &scs[w])
-		}
-	})
-	exec.ParallelForW(ctx, workers, nProbe, func(_, i int) {
-		row := rows[i*nSample : (i+1)*nSample]
-		pi := probes[i]
-		psig := probeSigs[i]
-		if psig == nil {
-			return
-		}
-		for j, sj := range sample {
-			if pi == sj || sampleSigs[j] == nil {
-				continue
-			}
-			row[j] = grams.distance(psig, sampleSigs[j])
-		}
-	})
-}
-
-// autoThresholdRowsFast is autoThresholdRowsRef on the fast-path signature
-// kernels: one shared chain index, flat signature backing, and — in QGram
-// mode — bit-packed presence rows scored with hammingPacked, which is
-// exactly gramSet.distance on 0/1 signatures. WGram rows use signatureInto
-// (bit-identical to signatureScratch) and the reference distance, since the
-// histogram needs the exact values, not a thresholded band. The ok flags
-// replace the reference's nil-signature sentinel: set last in the signature
-// item, so a panic-contained signature leaves its pairs at -1.
+// autoThresholdRowsFast is the reference calibration (reference_test.go) on
+// the fast-path signature kernels: one shared chain index, flat signature
+// backing, and — in QGram mode — bit-packed presence rows scored with
+// hammingPacked, which is exactly gramSet.distance on 0/1 signatures. WGram
+// rows use signatureInto (bit-identical to the reference signature) and the
+// reference distance, since the histogram needs the exact values, not a
+// thresholded band. The ok flags replace the reference's nil-signature
+// sentinel: set last in the signature item, so a panic-contained signature
+// leaves its pairs at -1.
 func autoThresholdRowsFast(ctx context.Context, reads []dna.Seq, grams gramSet, probes, sample []int, rows []int, workers int) {
 	nProbe, nSample := len(probes), len(sample)
 	var gi gramIndex

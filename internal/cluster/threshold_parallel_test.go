@@ -13,7 +13,7 @@ import (
 // in both signature modes — the parallel distance rows are merged in probe
 // order, so scheduling must never leak into the result.
 func TestAutoThresholdsParallelDeterministic(t *testing.T) {
-	reads, _ := makePool(21, 120, 110, 8, 0.06)
+	reads, _ := makePool(t, 21, 120, 110, 8, 0.06)
 	ctx := context.Background()
 	for _, mode := range []SignatureMode{QGram, WGram} {
 		grams := newGramSet(xrand.New(23), mode, 48, 4)
@@ -41,7 +41,7 @@ func TestAutoThresholdsParallelDeterministic(t *testing.T) {
 // TestAutoThresholdsWrapperMatchesParallel pins that the exported serial
 // entry point is the workers=1 case of the same code path.
 func TestAutoThresholdsWrapperMatchesParallel(t *testing.T) {
-	reads, _ := makePool(25, 80, 110, 6, 0.06)
+	reads, _ := makePool(t, 25, 80, 110, 6, 0.06)
 	grams := newGramSet(xrand.New(27), QGram, 48, 4)
 	aLow, aHigh, _ := AutoThresholds(reads, grams, xrand.New(31))
 	bLow, bHigh, _ := autoThresholds(context.Background(), reads, grams, xrand.New(31), 4)

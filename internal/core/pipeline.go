@@ -29,7 +29,7 @@ import (
 )
 
 // Simulator produces noisy reads from encoded strands. The default wraps
-// sim.SimulatePool; a fastq-backed implementation replaces it with real
+// sim.SimulatePoolContext; a fastq-backed implementation replaces it with real
 // sequencing data (§VIII). Implementations should honour ctx cancellation
 // between units of work and return the context's error when aborted.
 type Simulator interface {

@@ -154,11 +154,14 @@ func TestWetlabReplayViaFASTQ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reads := sim.SimulatePool(strands, sim.Options{
+	reads, err := sim.SimulatePoolContext(context.Background(), strands, sim.Options{
 		Channel:  sim.CalibratedIID(0.03),
 		Coverage: sim.FixedCoverage(10),
 		Seed:     23,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Sequencers emit both orientations: flip every other read.
 	seqs := make([]dna.Seq, len(reads))
 	for i, r := range reads {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -181,7 +182,8 @@ type volumeWork struct {
 // Error policy: per-volume failures (a stage panic, an unrecoverable decode)
 // are contained — the volume's Err is recorded, its output region is
 // zero-filled, and the run continues. RunStream itself returns an error only
-// for configuration problems, cancellation, I/O failures on r or w, or —
+// for configuration problems (including clustering options matching
+// cluster.ErrOptions), cancellation, I/O failures on r or w, or —
 // unless BestEffort is set — an ErrVolumeDamaged summarizing the failed
 // volumes after all bytes are written.
 func (p *Pipeline) RunStream(ctx context.Context, r io.Reader, w io.Writer, opts StreamOptions) (res StreamResult, rerr error) {
@@ -296,8 +298,15 @@ func (p *Pipeline) RunStream(ctx context.Context, r io.Reader, w io.Writer, opts
 			if ctx.Err() != nil {
 				return
 			}
+			vr := p.processVolume(ctx, wk, opts, runReg)
+			if errors.Is(vr.Err, cluster.ErrOptions) {
+				// Clustering options it cannot run fail every volume
+				// alike: a configuration error, not volume damage.
+				fail(fmt.Errorf("core: stream volume %d: %w", vr.ID, vr.Err))
+				return
+			}
 			select {
-			case resultCh <- p.processVolume(ctx, wk, opts, runReg):
+			case resultCh <- vr:
 			case <-ctx.Done():
 				return
 			}

@@ -55,7 +55,7 @@ type Read struct {
 	Origin int
 }
 
-// Options configures SimulatePool.
+// Options configures SimulatePoolContext.
 type Options struct {
 	// Channel is the noise model. Required.
 	Channel Channel
@@ -71,28 +71,19 @@ type Options struct {
 	KeepOrder bool
 }
 
-// ErrNoChannel is returned (or panicked, by the legacy SimulatePool entry
-// point) when Options.Channel is missing.
+// ErrNoChannel is returned when Options.Channel is missing.
 var ErrNoChannel = errors.New("sim: Options.Channel is required")
 
-// SimulatePool pushes every strand through synthesis/storage/sequencing:
-// each strand is replicated per the coverage model and every copy passes
-// through the noise channel independently. Strands are processed in
-// parallel with per-strand derived RNG streams, so results are deterministic
-// regardless of GOMAXPROCS.
-func SimulatePool(strands []dna.Seq, opts Options) []Read {
-	reads, err := SimulatePoolContext(context.Background(), strands, opts)
-	if err != nil {
-		panic(err) // only ErrNoChannel is reachable with a background context
-	}
-	return reads
-}
-
-// SimulatePoolContext is SimulatePool with cooperative cancellation: workers
-// check ctx between strands and the call returns the context's error when it
-// is cancelled or its deadline passes. A Channel that panics on one strand
-// loses only that strand's reads (the pipeline sees it as a dropout → column
-// erasure); the panic never escapes the worker pool.
+// SimulatePoolContext pushes every strand through synthesis/storage/
+// sequencing: each strand is replicated per the coverage model and every
+// copy passes through the noise channel independently. Strands are
+// processed in parallel with per-strand derived RNG streams, so results are
+// deterministic regardless of GOMAXPROCS.
+//
+// Workers check ctx between strands and the call returns the context's
+// error when it is cancelled or its deadline passes. A Channel that panics
+// on one strand loses only that strand's reads (the pipeline sees it as a
+// dropout → column erasure); the panic never escapes the worker pool.
 func SimulatePoolContext(ctx context.Context, strands []dna.Seq, opts Options) ([]Read, error) {
 	if opts.Channel == nil {
 		return nil, ErrNoChannel

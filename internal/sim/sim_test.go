@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -16,6 +17,17 @@ func randStrands(seed uint64, n, length int) []dna.Seq {
 		out[i] = dna.Random(rng, length)
 	}
 	return out
+}
+
+// simulate runs SimulatePoolContext under a background context, failing the
+// test on error.
+func simulate(t *testing.T, strands []dna.Seq, opts Options) []Read {
+	t.Helper()
+	reads, err := SimulatePoolContext(context.Background(), strands, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reads
 }
 
 func TestIIDZeroRatesIdentity(t *testing.T) {
@@ -193,7 +205,7 @@ func TestReferenceWetlabEmptyStrand(t *testing.T) {
 
 func TestSimulatePoolCoverageAndOrigins(t *testing.T) {
 	strands := randStrands(20, 30, 80)
-	reads := SimulatePool(strands, Options{
+	reads := simulate(t, strands, Options{
 		Channel:  CalibratedIID(0.03),
 		Coverage: FixedCoverage(5),
 		Seed:     21,
@@ -215,8 +227,8 @@ func TestSimulatePoolCoverageAndOrigins(t *testing.T) {
 func TestSimulatePoolDeterministicAcrossRuns(t *testing.T) {
 	strands := randStrands(22, 40, 90)
 	opts := Options{Channel: NewReferenceWetlab(), Coverage: PoissonCoverage(8), Seed: 23}
-	a := SimulatePool(strands, opts)
-	b := SimulatePool(strands, opts)
+	a := simulate(t, strands, opts)
+	b := simulate(t, strands, opts)
 	if len(a) != len(b) {
 		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
 	}
@@ -229,7 +241,7 @@ func TestSimulatePoolDeterministicAcrossRuns(t *testing.T) {
 
 func TestSimulatePoolDropout(t *testing.T) {
 	strands := randStrands(24, 200, 60)
-	reads := SimulatePool(strands, Options{
+	reads := simulate(t, strands, Options{
 		Channel:  NewIIDChannel(0, 0, 0),
 		Coverage: FixedCoverage(1),
 		Dropout:  0.5,
@@ -242,7 +254,7 @@ func TestSimulatePoolDropout(t *testing.T) {
 
 func TestSimulatePoolShufflesByDefault(t *testing.T) {
 	strands := randStrands(26, 50, 60)
-	reads := SimulatePool(strands, Options{Channel: NewIIDChannel(0, 0, 0), Coverage: FixedCoverage(2), Seed: 27})
+	reads := simulate(t, strands, Options{Channel: NewIIDChannel(0, 0, 0), Coverage: FixedCoverage(2), Seed: 27})
 	ordered := true
 	for i := 1; i < len(reads); i++ {
 		if reads[i].Origin < reads[i-1].Origin {
@@ -253,7 +265,7 @@ func TestSimulatePoolShufflesByDefault(t *testing.T) {
 	if ordered {
 		t.Fatal("reads came back in origin order; expected shuffle")
 	}
-	kept := SimulatePool(strands, Options{Channel: NewIIDChannel(0, 0, 0), Coverage: FixedCoverage(2), Seed: 27, KeepOrder: true})
+	kept := simulate(t, strands, Options{Channel: NewIIDChannel(0, 0, 0), Coverage: FixedCoverage(2), Seed: 27, KeepOrder: true})
 	for i := 1; i < len(kept); i++ {
 		if kept[i].Origin < kept[i-1].Origin {
 			t.Fatal("KeepOrder violated")
