@@ -43,6 +43,9 @@ lint:
 # Short native-fuzzing pass over the codec pipeline's fuzz targets
 # (30 s each); CI runs this as a smoke test, local fuzzing can go longer
 # with e.g. `go test ./internal/rs -fuzz FuzzRSDecode -fuzztime 10m`.
+# FuzzDecodeVolume's inputs are read sets of kilobytes, so minimizing each
+# new input is capped at 100 runs; uncapped, minimizing takes most of the
+# 30 s.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test ./internal/rs -run '^$$' -fuzz '^FuzzRSDecode$$' -fuzztime $(FUZZTIME)
@@ -53,6 +56,7 @@ fuzz-smoke:
 	$(GO) test ./internal/edit -run '^$$' -fuzz '^FuzzMyersVsDP$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzSigDistance$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/recon -run '^$$' -fuzz '^FuzzReconDispatch$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzDecodeVolume$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
 
 # The end-to-end benchmark's own test: every workload at a quick size, every
 # metric BENCHMARK.json names printed with its unit, and corrupted outputs

@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"time"
 
 	"dnastore/internal/cluster"
 	"dnastore/internal/codec"
@@ -521,7 +522,9 @@ func cmdPipeline(args []string) (err error) {
 	if err != nil {
 		return err
 	}
+	start := time.Now()
 	res, err := pipe.Run(data, runOpts)
+	wall := time.Since(start)
 	if err != nil {
 		return err
 	}
@@ -540,11 +543,31 @@ func cmdPipeline(args []string) (err error) {
 	if res.Report.Partial {
 		fmt.Printf("warning: partial recovery; do not trust units %v\n", res.Report.DamagedUnits())
 	}
-	t := res.Times
-	fmt.Printf("latency: encode %v | simulate %v | cluster %v | reconstruct %v | decode %v | busy %v | wall %v\n",
-		t.Encode, t.Simulate, t.Cluster, t.Reconstruct, t.Decode, t.Total(), t.Wall)
+	printLatency(res.Stages, wall, false)
 	fmt.Printf("decode report: %s\n", res.Report)
 	return nil
+}
+
+// printLatency prints one line with the busy time of every stage the run
+// recorded, their sum, the run's wall time and, when overlap is set, the
+// sum over the wall time: above 1 when stages of different volumes ran at
+// once.
+func printLatency(stages []obs.StageSnapshot, wall time.Duration, overlap bool) {
+	var busy time.Duration
+	fmt.Print("latency:")
+	for _, s := range stages {
+		busy += time.Duration(s.BusyNanos)
+		fmt.Printf(" %s %v |", s.Stage, time.Duration(s.BusyNanos))
+	}
+	fmt.Printf(" busy %v | wall %v", busy, wall)
+	if overlap {
+		ratio := 0.0
+		if wall > 0 {
+			ratio = float64(busy) / float64(wall)
+		}
+		fmt.Printf(" | overlap %.2fx", ratio)
+	}
+	fmt.Println()
 }
 
 // writeMetricsJSON dumps the registry's stage snapshots as indented JSON to
@@ -583,7 +606,9 @@ func runStreamPipeline(pipe *core.Pipeline, in, out string, opts core.StreamOpti
 		}
 	}()
 	w := bufio.NewWriterSize(outF, 1<<20)
+	start := time.Now()
 	res, err := pipe.RunStream(context.Background(), bufio.NewReaderSize(inF, 1<<20), w, opts)
+	wall := time.Since(start)
 	if ferr := w.Flush(); err == nil {
 		err = ferr
 	}
@@ -611,8 +636,6 @@ func runStreamPipeline(pipe *core.Pipeline, in, out string, opts core.StreamOpti
 	if res.ClusterStats.Spilled > 0 {
 		fmt.Printf("demux: %d reads spilled (unroutable index prefix)\n", res.ClusterStats.Spilled)
 	}
-	t := res.Times
-	fmt.Printf("latency: encode %v | simulate %v | cluster %v | reconstruct %v | decode %v | busy %v | wall %v | overlap %.2fx\n",
-		t.Encode, t.Simulate, t.Cluster, t.Reconstruct, t.Decode, t.Total(), t.Wall, t.Overlap())
+	printLatency(res.Stages, wall, true)
 	return nil
 }

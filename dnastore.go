@@ -23,7 +23,8 @@
 //		dnastore.ClusterOptions{Seed: 2},
 //		dnastore.NWReconstruction{})
 //	res, err := pipe.Run(data, dnastore.RunOptions{})
-//	// res.Data == data, res.Times holds the per-stage latency breakdown.
+//	// res.Data == data; res.Stages holds the per-stage counters (busy time,
+//	// items in and out), the Table III latency breakdown.
 package dnastore
 
 import (
@@ -211,8 +212,6 @@ type (
 	RunOptions = core.RunOptions
 	// RunResult reports recovered data and per-stage statistics.
 	RunResult = core.Result
-	// StageTimes is the Table III latency breakdown.
-	StageTimes = core.StageTimes
 	// ReadsSource replays wetlab reads in place of the simulator (§VIII).
 	ReadsSource = core.ReadsSource
 	// Simulator is the pipeline's read-production stage interface.
@@ -381,14 +380,8 @@ const (
 	MetricsStageEnd = obs.StageEnd
 )
 
-// Observability functions re-exported from the obs and core packages.
-var (
-	// NewMetricsRegistry creates an empty metrics registry.
-	NewMetricsRegistry = obs.NewRegistry
-	// StageTimesOf derives the Table III latency view from a registry
-	// snapshot — the same counters, folded into StageTimes.
-	StageTimesOf = core.StageTimesOf
-)
+// NewMetricsRegistry creates an empty metrics registry.
+var NewMetricsRegistry = obs.NewRegistry
 
 // Fault injection for resilience testing (internal/chaos).
 type (

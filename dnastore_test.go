@@ -32,9 +32,6 @@ func TestFacadeRoundTrip(t *testing.T) {
 	if !bytes.Equal(res.Data, data) {
 		t.Fatalf("round trip failed: report %v", res.Report)
 	}
-	if res.Times.Total() <= 0 {
-		t.Fatal("no stage times recorded")
-	}
 }
 
 func TestFacadeGiniAndPrimers(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"fmt"
 	"log"
+	"time"
 
 	"dnastore"
 )
@@ -50,9 +51,14 @@ error correction.`)
 		len(data), res.Strands, codec.StrandLen())
 	fmt.Printf("sequenced %d noisy reads -> %d clusters\n", res.Reads, res.Clusters)
 	fmt.Printf("decode report: %v\n", res.Report)
-	t := res.Times
-	fmt.Printf("latency: encode %v | simulate %v | cluster %v | reconstruct %v | decode %v\n",
-		t.Encode, t.Simulate, t.Cluster, t.Reconstruct, t.Decode)
+	fmt.Print("latency:")
+	for i, s := range res.Stages {
+		if i > 0 {
+			fmt.Print(" |")
+		}
+		fmt.Printf(" %s %v", s.Stage, time.Duration(s.BusyNanos))
+	}
+	fmt.Println()
 
 	if bytes.Equal(res.Data, data) {
 		fmt.Println("file recovered EXACTLY")

@@ -355,14 +355,9 @@ func (w *worker) decodeVolume(ctx context.Context, mv codec.ManifestVolume, corr
 		return fmt.Errorf("archive worker volume %d: %w", mv.ID, vr.Err)
 	}
 
-	buf := vr.Data
-	if int64(len(buf)) != mv.Length {
-		// Damaged or short volume: zero-fill its region, exactly as the
-		// RunStream writer does, so offsets (and bytes) match it.
-		padded := make([]byte, mv.Length)
-		copy(padded, buf)
-		buf = padded
-	}
+	// A damaged or short volume is zero-filled to its manifest length
+	// (vr.Bytes), as the RunStream writer does, so bytes match it.
+	buf := vr.Output()
 	if _, werr := w.out.WriteAt(buf, mv.Offset); werr != nil {
 		return werr
 	}

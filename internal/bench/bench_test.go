@@ -155,7 +155,7 @@ func TestTableIIIQuickShape(t *testing.T) {
 		if !row.Recovered {
 			t.Errorf("%s (cov %d): file not recovered", row.Label(), row.Coverage)
 		}
-		if row.Times.Total() <= 0 {
+		if row.Busy("") <= 0 {
 			t.Errorf("%s: no timing", row.Label())
 		}
 	}
@@ -166,9 +166,9 @@ func TestTableIIIQuickShape(t *testing.T) {
 	for _, row := range r.Rows {
 		switch row.Algorithm {
 		case "bma":
-			bma += row.Times.Reconstruct.Seconds()
+			bma += row.Busy("reconstruct").Seconds()
 		case "double-sided-bma":
-			dbma += row.Times.Reconstruct.Seconds()
+			dbma += row.Busy("reconstruct").Seconds()
 		}
 	}
 	if dbma < bma*0.5 {

@@ -173,9 +173,9 @@ func RenderTableIII(w io.Writer, r TableIIIResult) {
 		}
 		fmt.Fprintf(w, "%-18s %10s %12s %12s %10s %10s %6v\n",
 			row.Label(),
-			fmtDur(row.Times.Encode), fmtDur(row.Times.Cluster),
-			fmtDur(row.Times.Reconstruct), fmtDur(row.Times.Decode),
-			fmtDur(row.Times.Total()), row.Recovered)
+			fmtDur(row.Busy("encode")), fmtDur(row.Busy("cluster")),
+			fmtDur(row.Busy("reconstruct")), fmtDur(row.Busy("decode")),
+			fmtDur(row.Busy("")), row.Recovered)
 	}
 }
 

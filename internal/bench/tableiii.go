@@ -2,11 +2,13 @@ package bench
 
 import (
 	"fmt"
+	"time"
 
 	"dnastore/internal/cluster"
 	"dnastore/internal/codec"
 	"dnastore/internal/core"
 	"dnastore/internal/dna"
+	"dnastore/internal/obs"
 	"dnastore/internal/recon"
 	"dnastore/internal/sim"
 	"dnastore/internal/xrand"
@@ -111,8 +113,20 @@ type TableIIIRow struct {
 	Coverage  int
 	Mode      cluster.SignatureMode
 	Algorithm string
-	Times     core.StageTimes
+	Stages    []obs.StageSnapshot // the run's core.Result.Stages
 	Recovered bool
+}
+
+// Busy returns the busy time the row's run spent in the named stage, or in
+// all its stages together when stage is "".
+func (r TableIIIRow) Busy(stage string) time.Duration {
+	var d time.Duration
+	for _, s := range r.Stages {
+		if stage == "" || s.Stage == stage {
+			d += time.Duration(s.BusyNanos)
+		}
+	}
+	return d
 }
 
 // Label renders the row name as in the paper ("q-gram + DBMA").
@@ -163,7 +177,7 @@ func TableIII(cfg TableIIIConfig) (TableIIIResult, error) {
 					Coverage:  coverage,
 					Mode:      mode,
 					Algorithm: algo.Name(),
-					Times:     out.Times,
+					Stages:    out.Stages,
 					Recovered: out.Report.Clean() && string(out.Data) == string(data),
 				})
 			}

@@ -15,16 +15,26 @@ import (
 	"dnastore/internal/xrand"
 )
 
-// TestFastPathMatchesReference is the PR's central identity pin: the
+// TestFastPathMatchesReference is the central identity pin: the
 // allocation-free fast path must produce byte-identical cluster memberships
 // and identical decision counters (Merges, CheapMerges, EditDistanceCalls)
 // to the map-based reference oracle, for both signature modes and across
-// worker counts, including the auto-threshold configuration path.
+// worker counts, including the auto-threshold configuration path. At 6 %
+// error the pool leaves stragglers, so the comparison covers the straggler
+// sweep as well as the rounds; the test asserts that the sweep edit-checked
+// candidates in each mode.
 func TestFastPathMatchesReference(t *testing.T) {
-	reads, _ := makePool(t, 101, 150, 110, 6, 0.03)
+	reads, _ := makePool(t, 101, 150, 110, 6, 0.06)
 	gmp := runtime.GOMAXPROCS(0)
 	for _, mode := range []SignatureMode{QGram, WGram} {
 		want := mustCluster(t, reads, withReference(Options{Mode: mode, Seed: 77, Workers: 1}))
+		bare := mustCluster(t, reads, Options{Mode: mode, Seed: 77, Workers: 1, NoStragglerSweep: true})
+		sweepCalls := want.Stats.EditDistanceCalls - bare.Stats.EditDistanceCalls
+		t.Logf("mode=%v: %d reads, %d clusters, %d sweep edit calls, %d sweep merges",
+			mode, len(reads), len(want.Clusters), sweepCalls, want.Stats.Merges-bare.Stats.Merges)
+		if sweepCalls <= 0 {
+			t.Fatalf("mode=%v: the straggler sweep made no edit calls", mode)
+		}
 		for _, workers := range []int{1, 4, gmp} {
 			for _, ref := range []bool{false, true} {
 				if ref && workers == 1 {

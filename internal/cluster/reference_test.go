@@ -432,6 +432,20 @@ func (gs gramSet) signatureScratch(read dna.Seq, sc *sigScratch) []int32 {
 	return sig
 }
 
+// packQSig packs a reference q-gram presence signature (0/1 entries) into
+// dst, gram i at word i/64 bit i%64 — the layout qsigBitsInto produces
+// directly, so the packed kernels can be compared with the reference.
+func packQSig(sig []int32, dst []uint64) {
+	for w := range dst {
+		dst[w] = 0
+	}
+	for i, v := range sig {
+		if v != 0 {
+			dst[i>>6] |= 1 << (uint(i) & 63)
+		}
+	}
+}
+
 // autoThresholdRowsRef fills the probe-by-sample distance matrix with the
 // reference signature machinery. Nil signatures (a panic-contained item)
 // leave their entries at the -1 sentinel — their 1<<30 distance would

@@ -29,20 +29,6 @@ func sigWords(count int) int {
 	return (count + 63) / 64
 }
 
-// packQSig packs a reference q-gram presence signature (0/1 entries) into
-// dst, gram i at word i/64 bit i%64 — the layout qsigBitsInto produces
-// directly. Used by the differential fuzzer and tests.
-func packQSig(sig []int32, dst []uint64) {
-	for w := range dst {
-		dst[w] = 0
-	}
-	for i, v := range sig {
-		if v != 0 {
-			dst[i>>6] |= 1 << (uint(i) & 63)
-		}
-	}
-}
-
 // hammingPacked is the packed-signature Hamming distance: identical to
 // gramSet.distance on the QGram []int32 signatures the words were packed
 // from.

@@ -440,15 +440,3 @@ func autoThresholdRowsFast(ctx context.Context, reads []dna.Seq, grams gramSet, 
 		}
 	})
 }
-
-// AutoEditThresholdForTest exposes autoEditThreshold for diagnostics and
-// experiments; production callers rely on Options.EditThreshold == 0.
-func AutoEditThresholdForTest(reads []dna.Seq, seed uint64) int {
-	readLen := 0
-	for _, r := range reads {
-		if len(r) > readLen {
-			readLen = len(r)
-		}
-	}
-	return autoEditThreshold(reads, readLen, xrand.Derive(seed, 0xc0f3))
-}

@@ -16,7 +16,6 @@ package core
 
 import (
 	"context"
-	"math"
 	"time"
 
 	"dnastore/internal/cluster"
@@ -176,7 +175,8 @@ type Pipeline struct {
 	// stage boundary — chaos.PanicHook rides these. Each run records into
 	// its own private registry and publishes atomically at the end, so a
 	// shared sink stays consistent under concurrent runs. Nil disables
-	// accumulation (per-run StageTimes are still reported).
+	// accumulation (each run's own counters are still reported, as
+	// Result.Stages and StreamResult.Stages).
 	Metrics *obs.Registry
 }
 
@@ -204,91 +204,16 @@ func New(c *codec.Codec, simOpts sim.Options, clusterOpts cluster.Options, algo 
 	}
 }
 
-// StageTimes is the per-module latency breakdown (Table III). Every stage
-// field records *busy* time: the time some worker spent inside that stage,
-// summed across volumes when the streaming runtime processes several
-// concurrently. Wall records end-to-end elapsed time. In the serial batch
-// pipeline Wall ≈ Total(); under streaming the stages of different volumes
-// overlap, so Total() deliberately exceeds Wall — use Wall to answer "how
-// long did the run take" and Total() to answer "how much stage work was
-// done".
-type StageTimes struct {
-	Encode      time.Duration
-	Simulate    time.Duration
-	Cluster     time.Duration
-	Reconstruct time.Duration
-	Decode      time.Duration
-	// Wall is the end-to-end elapsed time of the run (0 on results produced
-	// before this field existed).
-	Wall time.Duration
-}
-
-// Total sums the per-stage busy times. Under the streaming runtime this is
-// the total stage work performed, not the elapsed time — see Wall.
-func (s StageTimes) Total() time.Duration {
-	return s.Encode + s.Simulate + s.Cluster + s.Reconstruct + s.Decode
-}
-
-// Overlap reports how much stage work ran concurrently: Total()/Wall.
-// 1.0 means fully serial execution; values above 1 mean that much stage
-// work overlapped (the streaming runtime's pipelining win). 0 when Wall is
-// unknown or no stage work was recorded; the result is always finite
-// (never NaN/Inf), so it is safe to embed in reports and BENCH_*.json.
-func (s StageTimes) Overlap() float64 {
-	total := s.Total()
-	if total <= 0 || s.Wall <= 0 {
-		return 0
-	}
-	r := float64(total) / float64(s.Wall)
-	if math.IsNaN(r) || math.IsInf(r, 0) {
-		return 0
-	}
-	return r
-}
-
-// StageTimesOf folds per-stage obs snapshots into the legacy StageTimes
-// view: each pipeline stage's busy nanoseconds land in the matching field,
-// non-pipeline stages (demux, archive bookkeeping) are ignored, and Wall
-// is left zero for the caller to fill from its own clock. StageTimes is
-// thus a thin, API-compatible projection of the obs registry.
-func StageTimesOf(snaps []obs.StageSnapshot) StageTimes {
-	var t StageTimes
-	for _, s := range snaps {
-		d := time.Duration(s.BusyNanos)
-		switch s.Stage {
-		case stageEncode:
-			t.Encode += d
-		case stageSimulate:
-			t.Simulate += d
-		case stageCluster:
-			t.Cluster += d
-		case stageReconstruct:
-			t.Reconstruct += d
-		case stageDecode:
-			t.Decode += d
-		}
-	}
-	return t
-}
-
-// add accumulates o's per-stage busy times into s (Wall is left alone: busy
-// time sums across concurrent volumes, elapsed time does not).
-func (s *StageTimes) add(o StageTimes) {
-	s.Encode += o.Encode
-	s.Simulate += o.Simulate
-	s.Cluster += o.Cluster
-	s.Reconstruct += o.Reconstruct
-	s.Decode += o.Decode
-}
-
 // Result reports everything a Run produced.
 type Result struct {
 	// Data is the recovered file contents.
 	Data []byte
 	// Report is the decoder's damage/repair summary.
 	Report codec.Report
-	// Times is the per-stage latency breakdown.
-	Times StageTimes
+	// Stages holds the run's per-stage counters (busy time, items in and out,
+	// retries): the Table III breakdown, and the same counters the run
+	// publishes into Pipeline.Metrics.
+	Stages []obs.StageSnapshot
 	// ClusterStats reports the clustering work performed.
 	ClusterStats cluster.Stats
 	// Strands, Reads and Clusters count the intermediate volumes.
@@ -367,13 +292,10 @@ func (p *Pipeline) RunContext(ctx context.Context, data []byte, opts RunOptions)
 	}
 	// The run records into a private registry (exact attribution even when
 	// several runs share one Pipeline) and publishes into the Metrics sink
-	// on every exit path; Result.Times is the StageTimes projection of the
-	// same counters.
+	// on every exit path; Result.Stages is its snapshot.
 	reg := p.newRunRegistry()
-	runStart := time.Now() //dnalint:allow determinism -- Result.Times telemetry; timings never influence the decoded bytes
 	defer func() {
-		res.Times = StageTimesOf(reg.Snapshot())
-		res.Times.Wall = time.Since(runStart)
+		res.Stages = reg.Snapshot()
 		reg.Publish(p.Metrics)
 	}()
 

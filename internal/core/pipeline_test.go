@@ -3,18 +3,21 @@ package core
 import (
 	"bytes"
 	"context"
+	"io"
+	"reflect"
 	"testing"
 
 	"dnastore/internal/cluster"
 	"dnastore/internal/codec"
 	"dnastore/internal/dna"
 	"dnastore/internal/fastq"
+	"dnastore/internal/obs"
 	"dnastore/internal/primer"
 	"dnastore/internal/recon"
 	"dnastore/internal/sim"
 )
 
-func testCodec(t *testing.T, primers *primer.Pair) *codec.Codec {
+func testCodec(t testing.TB, primers *primer.Pair) *codec.Codec {
 	t.Helper()
 	c, err := codec.NewCodec(codec.Params{
 		N: 30, K: 20, PayloadBytes: 15, Seed: 7, Primers: primers,
@@ -62,7 +65,7 @@ func TestEndToEndAtSixPercent(t *testing.T) {
 	}
 }
 
-func TestResultCountsAndTimes(t *testing.T) {
+func TestResultCounts(t *testing.T) {
 	data := []byte("counts")
 	p := testPipeline(t, recon.DoubleSidedBMA{}, 0.03, 8)
 	res, err := p.Run(data, RunOptions{})
@@ -78,12 +81,43 @@ func TestResultCountsAndTimes(t *testing.T) {
 	if res.Clusters == 0 {
 		t.Fatal("no clusters")
 	}
-	ts := res.Times
-	if ts.Encode <= 0 || ts.Simulate <= 0 || ts.Cluster <= 0 || ts.Reconstruct <= 0 || ts.Decode <= 0 {
-		t.Fatalf("stage times not all positive: %+v", ts)
-	}
-	if ts.Total() < ts.Cluster {
-		t.Fatal("total inconsistent")
+}
+
+func TestResultStagesMatchMetrics(t *testing.T) {
+	// Result.Stages and StreamResult.Stages are the run's own counters: on a
+	// fresh Metrics registry they equal its snapshot, and every stage the
+	// run went through recorded busy time.
+	data := streamTestData(1300)
+	for _, stream := range []bool{false, true} {
+		p := streamPipeline(t)
+		p.Metrics = obs.NewRegistry()
+		want := []string{stageEncode, stageSimulate, stageCluster, stageReconstruct, stageDecode}
+		var stages []obs.StageSnapshot
+		if stream {
+			res, err := p.RunStream(context.Background(), bytes.NewReader(data), io.Discard, StreamOptions{VolumeBytes: 600})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stages = res.Stages
+			want = []string{stageEncode, stageSimulate, stageDemux, stageCluster, stageReconstruct, stageDecode}
+		} else {
+			res, err := p.Run(data, RunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stages = res.Stages
+		}
+		if snap := p.Metrics.Snapshot(); !reflect.DeepEqual(stages, snap) {
+			t.Fatalf("stream=%v: Stages %+v, Metrics snapshot %+v", stream, stages, snap)
+		}
+		if len(stages) != len(want) {
+			t.Fatalf("stream=%v: %d stages %+v, want %v", stream, len(stages), stages, want)
+		}
+		for i, s := range stages {
+			if s.Stage != want[i] || s.BusyNanos <= 0 {
+				t.Fatalf("stream=%v: stage %d is %q with %d ns busy, want %q with busy time above 0", stream, i, s.Stage, s.BusyNanos, want[i])
+			}
+		}
 	}
 }
 

@@ -10,11 +10,9 @@ import (
 )
 
 // Canonical stage names. These are the obs.Registry keys every execution
-// path uses (batch, stream, volume, archive), the names -metrics-json
-// emits, and the names chaos hooks match on. StageTimesOf maps the five
-// pipeline stages back onto StageTimes; stageDemux is observable in
-// snapshots but has no StageTimes field (its cost was never part of the
-// Table III breakdown).
+// path uses (batch, stream, volume, archive), the names Result.Stages,
+// StreamResult.Stages and -metrics-json carry, and the names chaos hooks
+// match on. Only streamed runs have a stageDemux.
 const (
 	stageEncode      = "encode"
 	stageSimulate    = "simulate"

@@ -7,7 +7,6 @@ import (
 	"io"
 	"runtime"
 	"sync"
-	"time"
 
 	"dnastore/internal/cluster"
 	"dnastore/internal/codec"
@@ -28,7 +27,8 @@ import (
 // are written, so at most StreamOptions.InFlight volumes exist anywhere in
 // the pipeline and peak memory is bounded by InFlight·(volume footprint)
 // regardless of archive size. While volume k is clustering, volume k+1 is
-// encoding — the stage-overlap win StageTimes.Overlap reports.
+// encoding — the stage-overlap win: the busy times in StreamResult.Stages
+// sum to more than the run's wall time.
 //
 // Determinism is the headline guarantee: the output bytes are identical at
 // any worker count, in-flight depth, and volume interleaving, because every
@@ -102,9 +102,6 @@ type VolumeResult struct {
 	// ClusterStats reports the volume's clustering work; Spilled carries the
 	// demux spill attributed to this volume's pooling group.
 	ClusterStats cluster.Stats
-	// Times holds the volume's per-stage busy times. Simulate is this
-	// volume's even share of its pooling group's simulation time.
-	Times StageTimes
 	// Outcome classifies the decode: decoded (clean), salvaged (best-effort
 	// bytes with DamageBytes unverified), or failed (region zero-filled).
 	Outcome VolumeOutcome
@@ -137,9 +134,11 @@ type StreamResult struct {
 	// ClusterStats sums the per-volume clustering work; Spilled is the total
 	// number of reads the demux could not route.
 	ClusterStats cluster.Stats
-	// Times sums per-stage busy time across volumes; Wall is the end-to-end
-	// elapsed time. Total()/Wall > 1 means stages overlapped.
-	Times StageTimes
+	// Stages holds the run's per-stage counters, demux included: the same
+	// counters the run publishes into Pipeline.Metrics. Busy time sums
+	// across concurrent volumes, so the stages' total can exceed the run's
+	// wall time; by how much is the stage overlap.
+	Stages []obs.StageSnapshot
 }
 
 // Degraded returns the volumes that did not decode cleanly (salvaged or
@@ -161,16 +160,41 @@ type volumeChunk struct {
 	data []byte
 }
 
-// volumeWork is a volume between the group stage (encode+simulate+demux) and
-// the per-volume stage (cluster+reconstruct+decode).
-type volumeWork struct {
-	id      uint32
-	bytes   int
-	strands int
-	reads   []dna.Seq
-	spilled int // group spill, attributed to the group's first volume
-	times   StageTimes
-	err     error // group-stage failure; downstream stages are skipped
+// readVolumes is the chunking rule RunStream and EncodeVolumes share: it
+// splits r into VolumeBytes-sized volumes and hands them to flush in pooling
+// groups of PoolGroup consecutive volumes (group g = volumes [g·G, (g+1)·G)),
+// the last group possibly short. Volume 0 always exists: an empty archive
+// still frames one empty volume, so the output is self-describing. next runs
+// before each volume is read. An error from next or flush ends the sweep and
+// is returned verbatim; a read error is returned naming the caller (what).
+func readVolumes(r io.Reader, opts StreamOptions, what string, next func() error, flush func([]volumeChunk) error) error {
+	var group []volumeChunk
+	for id := uint32(0); ; id++ {
+		if err := next(); err != nil {
+			return err
+		}
+		buf := make([]byte, opts.VolumeBytes)
+		n, err := io.ReadFull(r, buf)
+		switch {
+		case err == io.EOF || err == io.ErrUnexpectedEOF:
+			if n > 0 || id == 0 {
+				group = append(group, volumeChunk{id: id, data: buf[:n]})
+			}
+			if len(group) == 0 {
+				return nil
+			}
+			return flush(group)
+		case err != nil:
+			return fmt.Errorf("core: %s read at volume %d: %w", what, id, err)
+		}
+		group = append(group, volumeChunk{id: id, data: buf})
+		if len(group) == opts.PoolGroup {
+			if err := flush(group); err != nil {
+				return err
+			}
+			group = nil
+		}
+	}
 }
 
 // RunStream pushes an archive of any size through the pipeline with bounded
@@ -192,14 +216,10 @@ func (p *Pipeline) RunStream(ctx context.Context, r io.Reader, w io.Writer, opts
 	}
 	opts = opts.withDefaults()
 	// The run's counters accumulate in a private registry (published into
-	// the Metrics sink on exit); StreamResult.Times is its StageTimes
-	// projection. Per-volume attribution still flows through the per-group
-	// and per-volume registries inside processGroup/processVolume.
+	// the Metrics sink on exit); StreamResult.Stages is its snapshot.
 	runReg := p.newRunRegistry()
-	runStart := time.Now() //dnalint:allow determinism -- StreamResult.Times telemetry; timings never influence the emitted bytes
 	defer func() {
-		res.Times = StageTimesOf(runReg.Snapshot())
-		res.Times.Wall = time.Since(runStart)
+		res.Stages = runReg.Snapshot()
 		runReg.Publish(p.Metrics)
 	}()
 
@@ -217,7 +237,7 @@ func (p *Pipeline) RunStream(ctx context.Context, r io.Reader, w io.Writer, opts
 	// tickets is the backpressure semaphore: reader takes, writer returns.
 	tickets := exec.NewTickets(opts.InFlight)
 	groupCh := make(chan []volumeChunk)
-	workCh := make(chan volumeWork, opts.InFlight)
+	workCh := make(chan VolumeWork, opts.InFlight)
 	resultCh := make(chan VolumeResult, opts.InFlight)
 
 	// Reader: split r into volumes, assemble fixed pooling groups, respect
@@ -227,42 +247,21 @@ func (p *Pipeline) RunStream(ctx context.Context, r io.Reader, w io.Writer, opts
 	})
 	reader.Go(func() {
 		defer close(groupCh)
-		var group []volumeChunk
-		flush := func() bool {
-			if len(group) == 0 {
-				return true
+		err := readVolumes(r, opts, "stream", func() error {
+			if !tickets.Acquire(ctx) {
+				return ctx.Err()
 			}
+			return nil
+		}, func(group []volumeChunk) error {
 			select {
 			case groupCh <- group:
-				group = nil
-				return true
+				return nil
 			case <-ctx.Done():
-				return false
+				return ctx.Err()
 			}
-		}
-		for id := uint32(0); ; id++ {
-			if !tickets.Acquire(ctx) {
-				return
-			}
-			buf := make([]byte, opts.VolumeBytes)
-			n, err := io.ReadFull(r, buf)
-			switch {
-			case err == io.EOF || err == io.ErrUnexpectedEOF:
-				// id 0 always exists: an empty archive still frames one
-				// empty volume, so the output is self-describing.
-				if n > 0 || id == 0 {
-					group = append(group, volumeChunk{id: id, data: buf[:n]})
-				}
-				flush()
-				return
-			case err != nil:
-				fail(fmt.Errorf("core: stream read at volume %d: %w", id, err))
-				return
-			}
-			group = append(group, volumeChunk{id: id, data: buf})
-			if len(group) == opts.PoolGroup && !flush() {
-				return
-			}
+		})
+		if err != nil && ctx.Err() == nil {
+			fail(err) // a read error; the writer reports cancellation
 		}
 	})
 
@@ -334,15 +333,7 @@ func (p *Pipeline) RunStream(ctx context.Context, r io.Reader, w io.Writer, opts
 				break
 			}
 			delete(pending, next)
-			buf := cur.Data
-			if len(buf) != cur.Bytes {
-				// Damaged or short volume: zero-fill its region so the
-				// surviving volumes keep their archive offsets.
-				padded := make([]byte, cur.Bytes)
-				copy(padded, buf)
-				buf = padded
-			}
-			if _, werr := w.Write(buf); werr != nil {
+			if _, werr := w.Write(cur.Output()); werr != nil {
 				fail(fmt.Errorf("core: stream write at volume %d: %w", cur.ID, werr))
 				aborted = true
 				break
@@ -380,37 +371,32 @@ func (p *Pipeline) RunStream(ctx context.Context, r io.Reader, w io.Writer, opts
 
 // processGroup encodes a pooling group's volumes, simulates the mixed pool,
 // and demuxes the reads back into per-volume shards. Stage failures degrade
-// the affected volumes (their volumeWork carries the error) instead of
+// the affected volumes (their VolumeWork carries the error) instead of
 // failing the run — except cancellation, which the caller observes via ctx.
-// Counters record into a private per-group registry (concurrent groups
-// never share counters mid-flight, so per-volume busy deltas are exact) and
-// publish into sink at the end; sink's hooks fire live.
-func (p *Pipeline) processGroup(ctx context.Context, group []volumeChunk, opts StreamOptions, sink *obs.Registry) []volumeWork {
+// Counters record into a private per-group registry and publish into sink
+// in one merge at the end; sink's hooks fire live.
+func (p *Pipeline) processGroup(ctx context.Context, group []volumeChunk, opts StreamOptions, sink *obs.Registry) []VolumeWork {
 	greg := obs.NewRegistry()
 	greg.InheritHooks(sink)
 	defer greg.Publish(sink)
 	enc := greg.Stage(stageEncode)
-	works := make([]volumeWork, len(group))
+	works := make([]VolumeWork, len(group))
 	var pooled []dna.Seq
 	for i, ch := range group {
-		works[i] = volumeWork{id: ch.id, bytes: len(ch.data)}
+		works[i] = VolumeWork{ID: ch.id, Bytes: len(ch.data)}
 		enc.AddIn(int64(len(ch.data)))
 		var strands []dna.Seq
-		// The loop is serial, so this volume's encode time is the stage's
-		// busy delta around its call.
-		encBefore := enc.Busy()
 		err := runStage(ctx, enc, opts.StageTimeout, func(_ context.Context) error {
 			var eerr error
 			strands, eerr = p.Codec.EncodeVolume(ch.id, opts.VolumeBytes, ch.data)
 			return eerr
 		})
-		works[i].times.Encode = enc.Busy() - encBefore
 		if err != nil {
-			works[i].err = err
+			works[i].Err = err
 			continue
 		}
 		enc.AddOut(int64(len(strands)))
-		works[i].strands = len(strands)
+		works[i].Strands = len(strands)
 		pooled = append(pooled, strands...)
 	}
 
@@ -429,14 +415,13 @@ func (p *Pipeline) processGroup(ctx context.Context, group []volumeChunk, opts S
 		}
 		return serr
 	})
-	simDur := simSt.Busy()
 	if err != nil {
 		// The whole group's sample is lost (panic, stage timeout): each
 		// member that still had a chance fails with this error. The run
 		// continues; cancellation is handled by the caller via ctx.
 		for i := range works {
-			if works[i].err == nil {
-				works[i].err = err
+			if works[i].Err == nil {
+				works[i].Err = err
 			}
 		}
 		return works
@@ -463,7 +448,7 @@ func (p *Pipeline) processGroup(ctx context.Context, group []volumeChunk, opts S
 			}
 			id, ok := p.Codec.ReadVolumeID(rd.Seq, capacity)
 			j := int(id) - int(first)
-			if !ok || j < 0 || j >= len(group) || works[j].err != nil {
+			if !ok || j < 0 || j >= len(group) || works[j].Err != nil {
 				spilled++
 				continue
 			}
@@ -473,11 +458,9 @@ func (p *Pipeline) processGroup(ctx context.Context, group []volumeChunk, opts S
 	})
 	dmx.AddOut(int64(len(reads) - spilled))
 	dmx.AddSpills(int64(spilled))
-	works[0].spilled = spilled
-	simShare := simDur / time.Duration(len(group))
+	works[0].Spilled = spilled
 	for i := range works {
-		works[i].times.Simulate = simShare
-		works[i].reads = shards[i]
+		works[i].Reads = shards[i]
 	}
 	return works
 }
@@ -486,41 +469,37 @@ func (p *Pipeline) processGroup(ctx context.Context, group []volumeChunk, opts S
 // reusing the batch pipeline's attempt loop (escalation, retries,
 // best-effort salvage) with the volume decoder. All failures are contained
 // in the VolumeResult. Counters record into a private per-volume registry
-// (published into sink at the end); VolumeResult.Times is its StageTimes
-// projection on top of the group stage's attribution.
-func (p *Pipeline) processVolume(ctx context.Context, wk volumeWork, opts StreamOptions, sink *obs.Registry) (out VolumeResult) {
+// and publish into sink in one merge at the end.
+func (p *Pipeline) processVolume(ctx context.Context, wk VolumeWork, opts StreamOptions, sink *obs.Registry) (out VolumeResult) {
 	vreg := obs.NewRegistry()
 	vreg.InheritHooks(sink)
 	// Every return path carries an outcome record: the deferred finalize
-	// classifies the result after Err/Report settle, and the volume's
-	// cluster/reconstruct/decode busy times come from its own registry.
+	// classifies the result after Err/Report settle.
 	defer func() {
-		out.Times.add(StageTimesOf(vreg.Snapshot()))
 		vreg.Publish(sink)
 		out.finalizeOutcome(p.Codec.UnitDataBytes())
 	}()
 	vr := VolumeResult{
-		ID:      wk.id,
-		Bytes:   wk.bytes,
-		Strands: wk.strands,
-		Reads:   len(wk.reads),
-		Times:   wk.times,
-		Err:     wk.err,
+		ID:      wk.ID,
+		Bytes:   wk.Bytes,
+		Strands: wk.Strands,
+		Reads:   len(wk.Reads),
+		Err:     wk.Err,
 	}
-	vr.ClusterStats.Spilled = wk.spilled
+	vr.ClusterStats.Spilled = wk.Spilled
 	if vr.Err != nil {
 		return vr
 	}
 
 	cluSt := vreg.Stage(stageCluster)
-	cluSt.AddIn(int64(len(wk.reads)))
+	cluSt.AddIn(int64(len(wk.Reads)))
 	var clu cluster.Result
 	err := runStage(ctx, cluSt, opts.StageTimeout, func(ctx context.Context) error {
 		var cerr error
 		if vc, ok := p.Clusterer.(VolumeClusterer); ok {
-			clu, cerr = vc.ClusterVolume(ctx, wk.id, wk.reads)
+			clu, cerr = vc.ClusterVolume(ctx, wk.ID, wk.Reads)
 		} else {
-			clu, cerr = p.Clusterer.Cluster(ctx, wk.reads)
+			clu, cerr = p.Clusterer.Cluster(ctx, wk.Reads)
 		}
 		return cerr
 	})
@@ -535,13 +514,13 @@ func (p *Pipeline) processVolume(ctx context.Context, wk volumeWork, opts Stream
 	vr.ClusterStats.Spilled = spilled
 
 	outcome, err := p.runDecodePhase(ctx, decodeJob{
-		strands:   wk.strands,
+		strands:   wk.Strands,
 		targetLen: p.Codec.StrandLen(),
 		decode: func(ctx context.Context, recons []dna.Seq, o codec.DecodeOptions) ([]byte, codec.Report, error) {
-			_, data, rep, derr := p.Codec.DecodeVolumeContext(ctx, wk.id, opts.VolumeBytes, recons, o)
+			_, data, rep, derr := p.Codec.DecodeVolumeContext(ctx, wk.ID, opts.VolumeBytes, recons, o)
 			return data, rep, derr
 		},
-	}, opts.RunOptions, wk.reads, clu.Clusters, vreg)
+	}, opts.RunOptions, wk.Reads, clu.Clusters, vreg)
 	vr.Attempts = outcome.Attempts
 	vr.Report = outcome.Report
 	vr.Data = outcome.Data

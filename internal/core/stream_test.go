@@ -26,7 +26,7 @@ func streamTestData(n int) []byte {
 	return data
 }
 
-func streamPipeline(t *testing.T) *Pipeline {
+func streamPipeline(t testing.TB) *Pipeline {
 	t.Helper()
 	return New(testCodec(t, nil),
 		sim.Options{Channel: sim.CalibratedIID(0.02), Coverage: sim.FixedCoverage(8), Seed: 11},
@@ -67,12 +67,6 @@ func TestStreamRoundTrip(t *testing.T) {
 		if v.Strands == 0 || v.Reads == 0 || v.Clusters == 0 {
 			t.Fatalf("volume %d missing intermediates: %+v", i, v)
 		}
-	}
-	if res.Times.Wall <= 0 {
-		t.Fatal("Times.Wall not recorded")
-	}
-	if res.Times.Total() <= 0 {
-		t.Fatal("per-stage busy times not recorded")
 	}
 }
 

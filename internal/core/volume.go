@@ -82,9 +82,23 @@ func (vr *VolumeResult) finalizeOutcome(unitDataBytes int) {
 	}
 }
 
+// Output returns the volume's bytes as they belong in the archive: Data, or
+// for a damaged or short volume Data zero-filled to Bytes, so the volumes
+// after it keep their archive offsets.
+func (vr *VolumeResult) Output() []byte {
+	if len(vr.Data) == vr.Bytes {
+		return vr.Data
+	}
+	padded := make([]byte, vr.Bytes)
+	copy(padded, vr.Data)
+	return padded
+}
+
 // VolumeWork is one volume's demuxed read shard: everything DecodeVolume
 // needs, in any process, to reproduce the volume's bytes. It is the unit the
-// archive layer persists (as a DVOL-framed shard) and hands to workers.
+// archive layer persists (as a DVOL-framed shard) and hands to workers, and
+// the unit RunStream passes from its group stage (encode+simulate+demux) to
+// its volume stage (cluster+reconstruct+decode).
 type VolumeWork struct {
 	// ID is the volume's position in the archive (0-based).
 	ID uint32
@@ -97,7 +111,8 @@ type VolumeWork struct {
 	// volume (the first of its pooling group).
 	Spilled int
 	// DataCRC is the IEEE CRC32 of the volume's payload bytes at encode
-	// time — the manifest's ground truth for auditing a decode.
+	// time — the manifest's ground truth for auditing a decode. EncodeVolumes
+	// sets it; RunStream, which checks no manifest, leaves it zero.
 	DataCRC uint32
 	// Reads is the volume's shard of sequenced reads.
 	Reads []dna.Seq
@@ -118,55 +133,28 @@ func (p *Pipeline) EncodeVolumes(ctx context.Context, r io.Reader, opts StreamOp
 		return ErrNotConfigured
 	}
 	opts = opts.withDefaults()
-	flush := func(group []volumeChunk) error {
-		if len(group) == 0 {
-			return nil
+	live := func() error {
+		if ctx.Err() != nil {
+			return cancelErr(ctx, "encode-volumes")
 		}
+		return nil
+	}
+	return readVolumes(r, opts, "archive", live, func(group []volumeChunk) error {
 		// p.Metrics (possibly nil) is the sink: archive workers and other
 		// per-volume callers accumulate straight into the pipeline's
 		// registry, one atomic publish per pooling group.
 		works := p.processGroup(ctx, group, opts, p.Metrics)
-		if err := ctx.Err(); err != nil {
-			return cancelErr(ctx, "encode-volumes")
+		if err := live(); err != nil {
+			return err
 		}
 		for i, wk := range works {
-			out := VolumeWork{
-				ID: wk.id, Bytes: wk.bytes, Strands: wk.strands,
-				Spilled: wk.spilled, Reads: wk.reads, Err: wk.err,
-				DataCRC: crc32.ChecksumIEEE(group[i].data),
-			}
-			if err := emit(out); err != nil {
+			wk.DataCRC = crc32.ChecksumIEEE(group[i].data)
+			if err := emit(wk); err != nil {
 				return err
 			}
 		}
 		return nil
-	}
-	var group []volumeChunk
-	for id := uint32(0); ; id++ {
-		if ctx.Err() != nil {
-			return cancelErr(ctx, "encode-volumes")
-		}
-		buf := make([]byte, opts.VolumeBytes)
-		n, err := io.ReadFull(r, buf)
-		switch {
-		case err == io.EOF || err == io.ErrUnexpectedEOF:
-			// id 0 always exists: an empty archive still frames one empty
-			// volume, exactly as the RunStream reader does.
-			if n > 0 || id == 0 {
-				group = append(group, volumeChunk{id: id, data: buf[:n]})
-			}
-			return flush(group)
-		case err != nil:
-			return fmt.Errorf("core: archive read at volume %d: %w", id, err)
-		}
-		group = append(group, volumeChunk{id: id, data: buf})
-		if len(group) == opts.PoolGroup {
-			if err := flush(group); err != nil {
-				return err
-			}
-			group = nil
-		}
-	}
+	})
 }
 
 // DecodeVolume runs one volume's shard through cluster → reconstruct →
@@ -181,9 +169,5 @@ func (p *Pipeline) DecodeVolume(ctx context.Context, wk VolumeWork, opts StreamO
 		vr.finalizeOutcome(0)
 		return vr
 	}
-	opts = opts.withDefaults()
-	return p.processVolume(ctx, volumeWork{
-		id: wk.ID, bytes: wk.Bytes, strands: wk.Strands,
-		reads: wk.Reads, spilled: wk.Spilled, err: wk.Err,
-	}, opts, p.Metrics)
+	return p.processVolume(ctx, wk, opts.withDefaults(), p.Metrics)
 }

@@ -3,69 +3,77 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"testing"
+
+	"dnastore/internal/codec"
 )
 
 func TestEncodeDecodeVolumesMatchesRunStream(t *testing.T) {
 	// The archive layer's foundation: a shard set produced by EncodeVolumes
 	// and decoded volume-by-volume through DecodeVolume must reproduce the
-	// exact bytes and telemetry of a single-process RunStream.
-	data := streamTestData(2750) // 5 volumes, last one short
-	opts := StreamOptions{VolumeBytes: 600, PoolGroup: 2}
+	// exact bytes and telemetry of a single-process RunStream. The sizes
+	// cover the shared chunking rule's edges at 600-byte volumes: an empty
+	// archive (volume 0 still exists), one short volume, one full volume,
+	// an exact multiple and a short tail; the pool groups cover groups of
+	// one, a short last group and a group larger than some archives.
+	for _, size := range []int{0, 250, 600, 1800, 2750} {
+		for _, group := range []int{1, 2, 3} {
+			t.Run(fmt.Sprintf("bytes=%d/group=%d", size, group), func(t *testing.T) {
+				data := streamTestData(size)
+				opts := StreamOptions{VolumeBytes: 600, PoolGroup: group}
 
-	var streamOut bytes.Buffer
-	streamRes, err := streamPipeline(t).RunStream(context.Background(), bytes.NewReader(data), &streamOut, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+				var streamOut bytes.Buffer
+				streamRes, err := streamPipeline(t).RunStream(context.Background(), bytes.NewReader(data), &streamOut, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
 
-	p := streamPipeline(t)
-	var works []VolumeWork
-	err = p.EncodeVolumes(context.Background(), bytes.NewReader(data), opts, func(wk VolumeWork) error {
-		works = append(works, wk)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(works) != len(streamRes.Volumes) {
-		t.Fatalf("EncodeVolumes emitted %d volumes, RunStream processed %d", len(works), len(streamRes.Volumes))
-	}
+				p := streamPipeline(t)
+				var works []VolumeWork
+				err = p.EncodeVolumes(context.Background(), bytes.NewReader(data), opts, func(wk VolumeWork) error {
+					works = append(works, wk)
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := codec.VolumeCount(int64(size), opts.VolumeBytes)
+				if len(works) != want || len(streamRes.Volumes) != want {
+					t.Fatalf("EncodeVolumes emitted %d volumes, RunStream processed %d, want %d", len(works), len(streamRes.Volumes), want)
+				}
 
-	var assembled []byte
-	for i, wk := range works {
-		if wk.ID != uint32(i) {
-			t.Fatalf("volume %d emitted out of order as id %d", i, wk.ID)
+				var assembled []byte
+				for i, wk := range works {
+					sv := streamRes.Volumes[i]
+					if wk.ID != uint32(i) || sv.ID != uint32(i) {
+						t.Fatalf("volume %d emitted as id %d, streamed as id %d", i, wk.ID, sv.ID)
+					}
+					if wk.Bytes != sv.Bytes || wk.Strands != sv.Strands || len(wk.Reads) != sv.Reads || wk.Spilled != sv.ClusterStats.Spilled {
+						t.Fatalf("volume %d shard: %d bytes/%d strands/%d reads/%d spilled, stream saw %d/%d/%d/%d",
+							i, wk.Bytes, wk.Strands, len(wk.Reads), wk.Spilled, sv.Bytes, sv.Strands, sv.Reads, sv.ClusterStats.Spilled)
+					}
+					vr := p.DecodeVolume(context.Background(), wk, opts)
+					if vr.Err != nil {
+						t.Fatalf("volume %d: %v", i, vr.Err)
+					}
+					if vr.Outcome != OutcomeDecoded || vr.DamageBytes != 0 {
+						t.Fatalf("volume %d outcome %v damage %d, want clean decode", i, vr.Outcome, vr.DamageBytes)
+					}
+					if vr.Attempts != sv.Attempts || vr.Clusters != sv.Clusters {
+						t.Fatalf("volume %d telemetry differs from stream: attempts %d/%d clusters %d/%d",
+							i, vr.Attempts, sv.Attempts, vr.Clusters, sv.Clusters)
+					}
+					assembled = append(assembled, vr.Output()...)
+				}
+				if !bytes.Equal(assembled, streamOut.Bytes()) {
+					t.Fatal("per-volume decode output differs from RunStream output")
+				}
+				if !bytes.Equal(assembled, data) {
+					t.Fatal("per-volume decode output differs from input")
+				}
+			})
 		}
-		sv := streamRes.Volumes[i]
-		if wk.Strands != sv.Strands || len(wk.Reads) != sv.Reads {
-			t.Fatalf("volume %d shard: %d strands/%d reads, stream saw %d/%d",
-				i, wk.Strands, len(wk.Reads), sv.Strands, sv.Reads)
-		}
-		vr := p.DecodeVolume(context.Background(), wk, opts)
-		if vr.Err != nil {
-			t.Fatalf("volume %d: %v", i, vr.Err)
-		}
-		if vr.Outcome != OutcomeDecoded || vr.DamageBytes != 0 {
-			t.Fatalf("volume %d outcome %v damage %d, want clean decode", i, vr.Outcome, vr.DamageBytes)
-		}
-		if vr.Attempts != sv.Attempts || vr.Clusters != sv.Clusters {
-			t.Fatalf("volume %d telemetry differs from stream: attempts %d/%d clusters %d/%d",
-				i, vr.Attempts, sv.Attempts, vr.Clusters, sv.Clusters)
-		}
-		buf := vr.Data
-		if len(buf) != vr.Bytes {
-			padded := make([]byte, vr.Bytes)
-			copy(padded, buf)
-			buf = padded
-		}
-		assembled = append(assembled, buf...)
-	}
-	if !bytes.Equal(assembled, streamOut.Bytes()) {
-		t.Fatal("per-volume decode output differs from RunStream output")
-	}
-	if !bytes.Equal(assembled, data) {
-		t.Fatal("per-volume decode output differs from input")
 	}
 }
 

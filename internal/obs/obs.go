@@ -1,15 +1,16 @@
 // Package obs is the observability spine for the pipeline: per-stage
 // atomic counters (calls, busy time, items in/out, retries, spills,
-// panics, sampled allocations) collected in a Registry, plus pluggable
-// event hooks that fire at stage boundaries (chaos injection rides the
-// same hooks).
+// panics) collected in a Registry, plus pluggable event hooks that fire at
+// stage boundaries (chaos injection rides the same hooks). A run's
+// snapshot is what core reports as Result.Stages and StreamResult.Stages,
+// and what the CLI's -metrics-json writes.
 //
 // Metric semantics:
 //
 //   - Busy time is the summed wall time spent inside a stage's work
 //     function across all calls; because stages overlap across workers,
-//     busy totals can exceed the run's wall time (that ratio is
-//     StageTimes.Overlap in core).
+//     busy totals can exceed the run's wall time (by the stage overlap of
+//     a streamed run).
 //   - ItemsIn/ItemsOut are stage-specific units (bytes into encode,
 //     strands out; reads into cluster, clusters out, ...), recorded by the
 //     call sites, not inferred.
@@ -26,8 +27,6 @@
 package obs
 
 import (
-	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,9 +78,6 @@ type Stage struct {
 	retries   atomic.Int64
 	spills    atomic.Int64
 	panics    atomic.Int64
-	// allocsBits holds math.Float64bits of the sampled allocs/op; zero
-	// means "not sampled".
-	allocsBits atomic.Uint64
 }
 
 // Name reports the stage name, or "" on a nil stage.
@@ -170,48 +166,8 @@ func (s *Stage) AddCalls(n int64) {
 	}
 }
 
-// Busy reports the accumulated busy time.
-func (s *Stage) Busy() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return time.Duration(s.busyNanos.Load())
-}
-
-// AllocsPerOp reports the last sampled allocations per operation, or 0 if
-// never sampled.
-func (s *Stage) AllocsPerOp() float64 {
-	if s == nil {
-		return 0
-	}
-	return math.Float64frombits(s.allocsBits.Load())
-}
-
-// SampleAllocs runs fn runs+1 times (one warm-up) pinned to a single
-// proc and stores the mean heap allocations per run. fn always runs at
-// least once, even on a nil stage.
-func (s *Stage) SampleAllocs(runs int, fn func()) {
-	if runs < 1 {
-		runs = 1
-	}
-	if s == nil {
-		fn()
-		return
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	fn() // warm caches and pools so steady state is measured
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		fn()
-	}
-	runtime.ReadMemStats(&after)
-	perOp := float64(after.Mallocs-before.Mallocs) / float64(runs)
-	s.allocsBits.Store(math.Float64bits(perOp))
-}
-
 // StageSnapshot is a point-in-time copy of one stage's counters, stable
-// for JSON emission (-metrics-json, BENCH files).
+// for JSON emission (-metrics-json).
 type StageSnapshot struct {
 	Stage       string  `json:"stage"`
 	Calls       int64   `json:"calls"`
@@ -222,7 +178,6 @@ type StageSnapshot struct {
 	Retries     int64   `json:"retries"`
 	Spills      int64   `json:"spills"`
 	Panics      int64   `json:"panics"`
-	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
 }
 
 func (s *Stage) snapshot() StageSnapshot {
@@ -237,7 +192,6 @@ func (s *Stage) snapshot() StageSnapshot {
 		Retries:     s.retries.Load(),
 		Spills:      s.spills.Load(),
 		Panics:      s.panics.Load(),
-		AllocsPerOp: s.AllocsPerOp(),
 	}
 }
 
@@ -337,8 +291,7 @@ func (r *Registry) Snapshot() []StageSnapshot {
 
 // Publish merges r's counters into to, stage by stage (created there on
 // first use). Counter merges are atomic adds, so concurrent publishers
-// never lose updates; a sampled allocs/op overwrites the target's. Nil-safe
-// on both sides.
+// never lose updates. Nil-safe on both sides.
 func (r *Registry) Publish(to *Registry) {
 	if r == nil || to == nil {
 		return
@@ -352,8 +305,5 @@ func (r *Registry) Publish(to *Registry) {
 		dst.retries.Add(snap.Retries)
 		dst.spills.Add(snap.Spills)
 		dst.panics.Add(snap.Panics)
-		if snap.AllocsPerOp != 0 {
-			dst.allocsBits.Store(math.Float64bits(snap.AllocsPerOp))
-		}
 	}
 }
