@@ -101,7 +101,10 @@ func BenchmarkFig6_Reconstruction(b *testing.B) {
 	cfg := bench.DefaultFig6()
 	cfg.Clusters = 400
 	for i := 0; i < b.N; i++ {
-		res := bench.Fig6(cfg)
+		res, err := bench.Fig6(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ReportMetric(100*res.Peak("bma"), "peak-bma-%")
 		b.ReportMetric(100*res.Peak("double-sided-bma"), "peak-dbma-%")
 		b.ReportMetric(100*res.Peak("needleman-wunsch"), "peak-nw-%")

@@ -51,16 +51,12 @@ func cmdEncodeArchive(args []string) error {
 	if err != nil {
 		return err
 	}
-	// The archive size is known up front: fail before encoding anything if
-	// the index field cannot address every volume.
 	info, err := os.Stat(*in)
 	if err != nil {
 		return err
 	}
-	volumes := codec.VolumeCount(info.Size(), *volumeBytes)
-	if need := uint64(volumes) * c.VolumeCapacity(*volumeBytes); need > c.MaxMolecules() {
-		return fmt.Errorf("archive needs %d volumes × %d molecule addresses but -index-bases %d provides only %d; raise -index-bases (each step quadruples the address space)",
-			volumes, c.VolumeCapacity(*volumeBytes), p.IndexBases, c.MaxMolecules())
+	if err := checkAddressable(c, info.Size(), *volumeBytes); err != nil {
+		return err
 	}
 	pipe := &core.Pipeline{
 		Codec:     c,
@@ -87,6 +83,20 @@ func cmdEncodeArchive(args []string) error {
 	return nil
 }
 
+// checkAddressable fails, before anything is encoded, when c's index field
+// cannot address every volume of an archive of size bytes split into
+// volumeBytes-sized volumes. The archive size is known here, where
+// RunStream and archive.Build, reading an unbounded io.Reader, cannot check
+// it.
+func checkAddressable(c *codec.Codec, size int64, volumeBytes int) error {
+	volumes := codec.VolumeCount(size, volumeBytes)
+	if need := uint64(volumes) * c.VolumeCapacity(volumeBytes); need > c.MaxMolecules() {
+		return fmt.Errorf("archive needs %d volumes × %d molecule addresses but -index-bases %d provides only %d; raise -index-bases (each step quadruples the address space)",
+			volumes, c.VolumeCapacity(volumeBytes), c.Params().IndexBases, c.MaxMolecules())
+	}
+	return nil
+}
+
 // workerFlags registers the flags shared by decode-worker and (as a
 // pass-through to its children) coordinate.
 type workerFlags struct {
@@ -103,7 +113,7 @@ func registerWorkerFlags(fs *flag.FlagSet) workerFlags {
 	return workerFlags{
 		seed:       fs.Uint64("seed", 1, "random seed (must match across the fleet; cluster seed is derived from it)"),
 		mode:       fs.String("mode", "q", "clustering signatures: q or w"),
-		algoName:   fs.String("algo", "dbma", "reconstruction: bma, dbma, nw"),
+		algoName:   fs.String("algo", "dbma", "reconstruction: bma, dbma, nw, adaptive"),
 		retries:    fs.Int("retries", 0, "extra reconstruct+decode attempts with escalated cluster filtering"),
 		bestEffort: fs.Bool("best-effort", false, "salvage partial volumes with a damage map instead of failing them"),
 		timeout:    fs.Duration("timeout", 0, "per-stage deadline, e.g. 30s (0 = none)"),
@@ -117,12 +127,12 @@ func (wf workerFlags) pipeline() (*core.Pipeline, core.StreamOptions, error) {
 	if err != nil {
 		return nil, core.StreamOptions{}, err
 	}
-	clusterOpts := cluster.Options{Seed: *wf.seed + 2}
-	if *wf.mode == "w" {
-		clusterOpts.Mode = cluster.WGram
+	sigMode, err := modeByName(*wf.mode)
+	if err != nil {
+		return nil, core.StreamOptions{}, err
 	}
 	p := &core.Pipeline{
-		Clusterer:     core.OptionsClusterer{Options: clusterOpts},
+		Clusterer:     core.OptionsClusterer{Options: cluster.Options{Mode: sigMode, Seed: *wf.seed + 2}},
 		Reconstructor: core.AlgorithmReconstructor{Algorithm: algo},
 	}
 	opts := core.StreamOptions{RunOptions: core.RunOptions{
@@ -205,6 +215,10 @@ func cmdCoordinate(args []string) error {
 		return err
 	}
 	if *workers > 0 {
+		// Reject flags every worker would reject before spawning any.
+		if _, _, err := wf.pipeline(); err != nil {
+			return err
+		}
 		if err := superviseWorkers(*dir, *out, *workers, *maxRestarts, wf); err != nil {
 			return err
 		}

@@ -239,15 +239,15 @@ func cmdCluster(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	sigMode, err := modeByName(*mode)
+	if err != nil {
+		return err
+	}
 	reads, err := readSeqLines(*in)
 	if err != nil {
 		return err
 	}
-	opts := cluster.Options{Seed: *seed}
-	if *mode == "w" {
-		opts.Mode = cluster.WGram
-	}
-	res, err := cluster.ClusterContext(context.Background(), reads, opts)
+	res, err := cluster.ClusterContext(context.Background(), reads, cluster.Options{Mode: sigMode, Seed: *seed})
 	if err != nil {
 		return err
 	}
@@ -347,6 +347,18 @@ func readClusters(path string) ([][]dna.Seq, error) {
 	return clusters, sc.Err()
 }
 
+// modeByName maps a -mode flag value to its clustering signature mode.
+func modeByName(name string) (cluster.SignatureMode, error) {
+	switch name {
+	case "q":
+		return cluster.QGram, nil
+	case "w":
+		return cluster.WGram, nil
+	default:
+		return 0, fmt.Errorf("unknown clustering mode %q (q, w)", name)
+	}
+}
+
 func algorithmByName(name string) (recon.Algorithm, error) {
 	switch name {
 	case "bma":
@@ -389,7 +401,10 @@ func cmdReconstruct(args []string) error {
 			}
 		}
 	}
-	recons := recon.ReconstructAll(clusters, target, algo, 0)
+	recons, err := recon.ReconstructAllContext(context.Background(), clusters, target, algo, 0)
+	if err != nil {
+		return err
+	}
 	var nonEmpty []dna.Seq
 	for _, r := range recons {
 		if len(r) > 0 {
@@ -477,13 +492,13 @@ func cmdPipeline(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	clusterOpts := cluster.Options{Seed: *seed + 2}
-	if *mode == "w" {
-		clusterOpts.Mode = cluster.WGram
+	sigMode, err := modeByName(*mode)
+	if err != nil {
+		return err
 	}
 	pipe := core.New(c,
 		sim.Options{Channel: ch, Coverage: sim.FixedCoverage(*coverage), Seed: *seed},
-		clusterOpts, algo)
+		cluster.Options{Mode: sigMode, Seed: *seed + 2}, algo)
 	if *metricsJSON != "" {
 		// A run publishes its per-stage counters into the pipeline's sink
 		// registry; snapshot it whichever way the run ends, so a failed run
@@ -501,14 +516,9 @@ func cmdPipeline(args []string) (err error) {
 		BestEffort:   *bestEffort,
 	}
 	if *stream {
-		// The archive size is known here (RunStream itself reads an
-		// unbounded io.Reader and cannot check this): fail before encoding
-		// anything if the index field cannot address every volume.
 		if info, serr := os.Stat(*in); serr == nil {
-			volumes := codec.VolumeCount(info.Size(), *volumeBytes)
-			if need := uint64(volumes) * c.VolumeCapacity(*volumeBytes); need > c.MaxMolecules() {
-				return fmt.Errorf("archive needs %d volumes × %d molecule addresses but -index-bases %d provides only %d; raise -index-bases (each step quadruples the address space)",
-					volumes, c.VolumeCapacity(*volumeBytes), p.IndexBases, c.MaxMolecules())
+			if err := checkAddressable(c, info.Size(), *volumeBytes); err != nil {
+				return err
 			}
 		}
 		return runStreamPipeline(pipe, *in, *out, core.StreamOptions{

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"dnastore/internal/cluster"
 	"dnastore/internal/codec"
 	"dnastore/internal/dna"
 	"dnastore/internal/obs"
@@ -92,6 +93,40 @@ func TestAlgorithmByName(t *testing.T) {
 	}
 	if _, err := algorithmByName("magic"); err == nil {
 		t.Fatal("unknown algorithm accepted")
+	}
+}
+
+func TestModeByName(t *testing.T) {
+	for name, want := range map[string]cluster.SignatureMode{
+		"q": cluster.QGram,
+		"w": cluster.WGram,
+	} {
+		mode, err := modeByName(name)
+		if err != nil || mode != want {
+			t.Errorf("modeByName(%q) = %v, %v", name, mode, err)
+		}
+	}
+	for _, name := range []string{"", "Q", "x", "qgram"} {
+		if _, err := modeByName(name); err == nil {
+			t.Errorf("modeByName(%q) accepted an unknown mode", name)
+		}
+	}
+}
+
+func TestCheckAddressable(t *testing.T) {
+	// The largest archive whose volumes all fit the index field passes; one
+	// byte more needs another volume and fails.
+	c, err := codec.NewCodec(codec.Params{N: 30, K: 20, PayloadBytes: 15, IndexBases: 5, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const volumeBytes = 600
+	fits := int64(c.MaxMolecules()/c.VolumeCapacity(volumeBytes)) * volumeBytes
+	if err := checkAddressable(c, fits, volumeBytes); err != nil {
+		t.Fatalf("%d bytes: %v", fits, err)
+	}
+	if err := checkAddressable(c, fits+1, volumeBytes); err == nil {
+		t.Fatalf("%d bytes accepted beyond the index field", fits+1)
 	}
 }
 

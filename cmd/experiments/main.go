@@ -138,7 +138,8 @@ func main() {
 		if *quick {
 			cfg = bench.QuickFig6()
 		}
-		res := bench.Fig6(cfg)
+		res, err := bench.Fig6(cfg)
+		exitOn("fig6", err)
 		bench.RenderFig6(out, res)
 		fmt.Fprintln(out)
 		ran++

@@ -196,8 +196,9 @@ type (
 
 // Reconstruction helpers re-exported from the recon package.
 var (
-	// ReconstructAll reconstructs clusters in parallel.
-	ReconstructAll = recon.ReconstructAll
+	// ReconstructAll reconstructs clusters in parallel under a context:
+	// one consensus per cluster, in order, nil for an empty cluster.
+	ReconstructAll = recon.ReconstructAllContext
 	// ErrorProfile tabulates per-index reconstruction error rates.
 	ErrorProfile = recon.ErrorProfile
 	// PerfectCount counts exactly reconstructed strands.
@@ -221,9 +222,8 @@ type (
 	// Reconstructor is the pipeline's consensus stage interface.
 	Reconstructor = core.Reconstructor
 	// AlgorithmReconstructor adapts a Reconstruction algorithm to the
-	// Reconstructor stage interface — the way to hand
-	// RunOptions.FallbackReconstructor a second algorithm (e.g. NW after a
-	// fast BMA first pass) for retry escalation.
+	// Reconstructor stage interface with a worker pool — the way to put any
+	// algorithm, or a custom one, into a hand-built Pipeline.
 	AlgorithmReconstructor = core.AlgorithmReconstructor
 	// ShardedClusterer runs the distributed clustering variant (§VI-A)
 	// inside a pipeline.
@@ -338,7 +338,8 @@ var (
 	// ErrRetriesExhausted wraps the final failure after RunOptions.Retries
 	// escalation attempts all failed.
 	ErrRetriesExhausted = core.ErrRetriesExhausted
-	// ErrNoUsableClusters is returned when MinClusterSize drops everything.
+	// ErrNoUsableClusters is returned when clustering left no cluster with
+	// a read (a run with no reads, say): nothing to reconstruct.
 	ErrNoUsableClusters = core.ErrNoUsableClusters
 	// ErrVolumeDamaged is returned by Pipeline.RunStream (best effort off)
 	// when some volumes could not be recovered; their output regions are

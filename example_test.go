@@ -2,8 +2,10 @@ package dnastore_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
+	"time"
 
 	"dnastore"
 )
@@ -32,6 +34,42 @@ func Example() {
 	}
 	fmt.Println(bytes.Equal(res.Data, data))
 	// Output: true
+}
+
+// ExamplePipeline_RunContext shows the fault-tolerance controls: a deadline
+// per stage, retries that re-run reconstruction and decode under a rising
+// cluster-size floor, and best-effort salvage with a damage map.
+func ExamplePipeline_RunContext() {
+	codec, err := dnastore.NewCodec(dnastore.CodecParams{
+		N: 30, K: 20, PayloadBytes: 15, Seed: 42,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	pipe := dnastore.NewPipeline(codec,
+		dnastore.SimOptions{
+			Channel:  dnastore.CalibratedIID(0.05),
+			Coverage: dnastore.FixedCoverage(10),
+			Seed:     1,
+		},
+		dnastore.ClusterOptions{Seed: 2},
+		dnastore.DoubleSidedBMAReconstruction{})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
+	defer cancel()
+	data := []byte("fault-tolerant DNA storage")
+	res, err := pipe.RunContext(ctx, data, dnastore.RunOptions{
+		StageTimeout: 2 * time.Minute,
+		Retries:      2,
+		BestEffort:   true,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if res.Report.Partial {
+		fmt.Println("partial recovery; damaged units:", res.Report.DamagedUnits())
+	}
+	fmt.Println(bytes.Equal(res.Data, data), res.Attempts)
+	// Output: true 1
 }
 
 // ExampleCodec_EncodeFile shows direct use of the encoding module: the

@@ -48,18 +48,15 @@ func TestFacadeSentinelErrors(t *testing.T) {
 		}
 	})
 	t.Run("no usable clusters", func(t *testing.T) {
-		codec, _ := faultTestPipeline(t)
-		pipe := dnastore.NewPipeline(codec,
-			dnastore.SimOptions{Channel: dnastore.CalibratedIID(0.01),
-				Coverage: dnastore.FixedCoverage(2), Seed: 3},
-			dnastore.ClusterOptions{Seed: 4},
-			dnastore.NWReconstruction{})
-		res, err := pipe.Run([]byte("starved"), dnastore.RunOptions{MinClusterSize: 5})
+		// A run with no reads leaves nothing to reconstruct.
+		_, pipe := faultTestPipeline(t)
+		pipe.Simulator = dnastore.ReadsSource{}
+		res, err := pipe.Run([]byte("starved"), dnastore.RunOptions{})
 		if !errors.Is(err, dnastore.ErrNoUsableClusters) {
 			t.Fatalf("err = %v", err)
 		}
-		if res.Report.MissingColumns == 0 {
-			t.Fatal("report not populated alongside the typed error")
+		if res.Report.MissingColumns != res.Strands || res.Strands == 0 {
+			t.Fatalf("report not populated alongside the typed error: missing=%d strands=%d", res.Report.MissingColumns, res.Strands)
 		}
 	})
 	t.Run("decode", func(t *testing.T) {

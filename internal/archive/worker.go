@@ -41,11 +41,10 @@ type WorkerOptions struct {
 	// Defaults to 30s. Too short risks duplicate work (never wrong bytes);
 	// too long delays recovery from a dead worker.
 	StaleAfter time.Duration
-	// Backoff and MaxBackoff bound the exponential sleep between sweeps
-	// when every remaining volume is leased by other live workers.
-	// Default 50ms and 2s.
-	Backoff    time.Duration
-	MaxBackoff time.Duration
+	// Backoff is the first sleep between sweeps when every remaining volume
+	// is leased by other live workers; each further sleep doubles, up to
+	// maxBackoff and StaleAfter. Defaults to 50ms.
+	Backoff time.Duration
 	// Stream carries the per-volume decode options (RunOptions: retries,
 	// best-effort, stage timeouts). VolumeBytes is always taken from the
 	// manifest; a fleet must use identical RunOptions across workers for
@@ -53,15 +52,10 @@ type WorkerOptions struct {
 	Stream core.StreamOptions
 	// Hooks are chaos/test instrumentation points.
 	Hooks Hooks
-	// Metrics, when set, overrides the pipeline's observability sink for
-	// this worker: per-stage counters of every decoded volume (cluster,
-	// reconstruct, decode) accumulate into it, plus a "volume" stage
-	// tracking the worker's claim/commit loop (items_in = claims,
-	// items_out = commits, retries = corrupt checkpoints redone, spills =
-	// volumes abandoned to a lease takeover). Nil inherits the pipeline's
-	// own Metrics registry.
-	Metrics *obs.Registry
 }
+
+// maxBackoff caps the doubling sleep between sweeps.
+const maxBackoff = 2 * time.Second
 
 // withDefaults fills in WorkerOptions defaults.
 func (o WorkerOptions) withDefaults() WorkerOptions {
@@ -77,9 +71,6 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 	}
 	if o.Backoff <= 0 {
 		o.Backoff = 50 * time.Millisecond
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = 2 * time.Second
 	}
 	return o
 }
@@ -120,6 +111,13 @@ func (r WorkerResult) Committed() int { return r.Decoded + r.Salvaged + r.Failed
 // it). The Simulator is not used. Clustering options the pipeline cannot run
 // stop the worker with an error matching cluster.ErrOptions, and the volume
 // that met them is left uncommitted.
+//
+// The worker records into the pipeline's Metrics registry: the per-stage
+// counters of every decoded volume (cluster, reconstruct, decode), plus a
+// "volume" stage for its claim/commit loop (calls and busy time per
+// claimed volume, items_in = claims, items_out = commits, retries =
+// corrupt checkpoints redone, spills = volumes abandoned to a lease
+// takeover).
 func RunWorker(ctx context.Context, p *core.Pipeline, dir, outPath string, o WorkerOptions) (WorkerResult, error) {
 	var res WorkerResult
 	o = o.withDefaults()
@@ -132,9 +130,6 @@ func RunWorker(ctx context.Context, p *core.Pipeline, dir, outPath string, o Wor
 		return res, err
 	}
 	work := *p
-	if o.Metrics != nil {
-		work.Metrics = o.Metrics
-	}
 	if work.Codec == nil {
 		c, err := m.Codec()
 		if err != nil {
@@ -194,8 +189,8 @@ func RunWorker(ctx context.Context, p *core.Pipeline, dir, outPath string, o Wor
 		case <-time.After(backoff):
 		}
 		backoff *= 2
-		if backoff > o.MaxBackoff {
-			backoff = o.MaxBackoff
+		if backoff > maxBackoff {
+			backoff = maxBackoff
 		}
 		if backoff > o.StaleAfter {
 			backoff = o.StaleAfter
@@ -215,7 +210,7 @@ type worker struct {
 	done      map[uint32]bool
 	res       WorkerResult
 	renewErrs atomic.Int64
-	// vol is the "volume" stage of the worker's metrics sink (nil when no
+	// vol is the "volume" stage of the pipeline's Metrics (nil when no
 	// registry is wired): items_in counts claims, items_out commits,
 	// retries redone checkpoints, spills abandoned volumes.
 	vol *obs.Stage

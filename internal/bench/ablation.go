@@ -106,7 +106,10 @@ func Gini(cfg GiniConfig) (GiniResult, error) {
 				for _, r := range reads {
 					clusters[r.Origin] = append(clusters[r.Origin], r.Seq)
 				}
-				recons := recon.ReconstructAll(clusters, c.StrandLen(), recon.DoubleSidedBMA{}, 0)
+				recons, err := recon.ReconstructAllContext(context.Background(), clusters, c.StrandLen(), recon.DoubleSidedBMA{}, 0)
+				if err != nil {
+					return res, err
+				}
 				got, report, err := c.DecodeFile(recons)
 				if err == nil && report.Clean() && string(got) == string(data) {
 					cell.Recovered++

@@ -112,7 +112,10 @@ func TestFig5Shape(t *testing.T) {
 }
 
 func TestFig6Shape(t *testing.T) {
-	r := Fig6(QuickFig6())
+	r, err := Fig6(QuickFig6())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(r.Names) != 4 {
 		t.Fatalf("names = %v", r.Names)
 	}
@@ -194,7 +197,11 @@ func TestRenderersProduceOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	RenderFig5(&sb, f5)
-	RenderFig6(&sb, Fig6(QuickFig6()))
+	f6, err := Fig6(QuickFig6())
+	if err != nil {
+		t.Fatal(err)
+	}
+	RenderFig6(&sb, f6)
 	t3, err := TableIII(QuickTableIII())
 	if err != nil {
 		t.Fatal(err)

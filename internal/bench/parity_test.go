@@ -159,10 +159,17 @@ func TestThroughputQuick(t *testing.T) {
 	// Reconstruction: every pooled, scratch-reusing run equals its reference
 	// on every cluster. Adaptive must equal the output of whichever of its
 	// two paths it selected.
-	nw := recon.ReconstructAll(clusters, strandLen, recon.NW{}, 0)
-	bma := recon.ReconstructAll(clusters, strandLen, recon.BMA{}, 0)
-	dbma := recon.ReconstructAll(clusters, strandLen, recon.DoubleSidedBMA{}, 0)
-	adaptive := recon.ReconstructAll(clusters, strandLen, recon.Adaptive{}, 0)
+	reconstructAll := func(algo recon.Algorithm) []dna.Seq {
+		out, err := recon.ReconstructAllContext(ctx, clusters, strandLen, algo, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	nw := reconstructAll(recon.NW{})
+	bma := reconstructAll(recon.BMA{})
+	dbma := reconstructAll(recon.DoubleSidedBMA{})
+	adaptive := reconstructAll(recon.Adaptive{})
 	reused := align.NewGraph()
 	exhaustive := align.NewGraph()
 	exhaustive.SetReferenceDP(true)

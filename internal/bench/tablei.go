@@ -137,7 +137,10 @@ func TableI(cfg TableIConfig) (TableIResult, error) {
 		for _, r := range reads {
 			clusters[r.Origin] = append(clusters[r.Origin], r.Seq)
 		}
-		recons := recon.ReconstructAll(clusters, cfg.StrandLen, recon.DoubleSidedBMA{}, 0)
+		recons, err := recon.ReconstructAllContext(context.Background(), clusters, cfg.StrandLen, recon.DoubleSidedBMA{}, 0)
+		if err != nil {
+			return TableIResult{}, err
+		}
 		profile := recon.ErrorProfile(test, recons, cfg.StrandLen)
 		res.Rows = append(res.Rows, SimulatorRow{
 			Name:     c.name,

@@ -107,7 +107,10 @@ func TableIRNN(cfg TableIRNNConfig) (TableIRNNResult, error) {
 		for _, r := range reads {
 			clusters[r.Origin] = append(clusters[r.Origin], r.Seq)
 		}
-		recons := recon.ReconstructAll(clusters, cfg.StrandLen, recon.DoubleSidedBMA{}, 0)
+		recons, err := recon.ReconstructAllContext(context.Background(), clusters, cfg.StrandLen, recon.DoubleSidedBMA{}, 0)
+		if err != nil {
+			return TableIRNNResult{}, err
+		}
 		profile := recon.ErrorProfile(test, recons, cfg.StrandLen)
 		res.Rows = append(res.Rows, SimulatorRow{
 			Name:    c.name,

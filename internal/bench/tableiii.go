@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -60,7 +61,7 @@ func (r Fig6Result) Peak(name string) float64 {
 }
 
 // Fig6 reconstructs the same clusters with all the algorithms.
-func Fig6(cfg Fig6Config) Fig6Result {
+func Fig6(cfg Fig6Config) (Fig6Result, error) {
 	rng := xrand.New(cfg.Seed)
 	refs := make([]dna.Seq, cfg.Clusters)
 	clusters := make([][]dna.Seq, cfg.Clusters)
@@ -76,13 +77,16 @@ func Fig6(cfg Fig6Config) Fig6Result {
 	// row: its profile should track NW's wherever BMA's consensus fails the
 	// agreement check, at a fraction of NW's cost.
 	for _, algo := range []recon.Algorithm{recon.BMA{}, recon.DoubleSidedBMA{}, recon.NW{}, recon.Adaptive{}} {
-		recons := recon.ReconstructAll(clusters, cfg.StrandLen, algo, 0)
+		recons, err := recon.ReconstructAllContext(context.Background(), clusters, cfg.StrandLen, algo, 0)
+		if err != nil {
+			return res, err
+		}
 		res.Names = append(res.Names, algo.Name())
 		res.Profiles[algo.Name()] = recon.ErrorProfile(refs, recons, cfg.StrandLen)
 		res.Perfect[algo.Name()] = recon.PerfectCount(refs, recons)
 		res.MeanEdit[algo.Name()] = recon.MeanEditDistance(refs, recons)
 	}
-	return res
+	return res, nil
 }
 
 // TableIIIConfig sizes the end-to-end latency breakdown (Table III):

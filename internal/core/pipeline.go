@@ -9,9 +9,9 @@
 // context.Context with optional per-stage deadlines (cancellation is
 // cooperative — the built-in worker pools check it between work items), a
 // panicking stage surfaces as a typed ErrStagePanic instead of crashing the
-// process, failed decodes can be retried with escalated reconstruction
-// settings, and best-effort mode salvages a partial file with a per-unit
-// damage map rather than returning a bare error. See RunOptions.
+// process, failed decodes can be retried under a rising cluster-size floor,
+// and best-effort mode salvages a partial file with a per-unit damage map
+// rather than returning a bare error. See RunOptions.
 package core
 
 import (
@@ -172,9 +172,10 @@ type Pipeline struct {
 	// Metrics, when set, is the observability sink: every run (batch,
 	// stream, or per-volume) accumulates its per-stage counters into it,
 	// and hooks registered on it (obs.Registry.OnEvent) fire at every
-	// stage boundary — chaos.PanicHook rides these. Each run records into
-	// its own private registry and publishes atomically at the end, so a
-	// shared sink stays consistent under concurrent runs. Nil disables
+	// stage boundary — chaos.PanicHook rides these. Run and RunStream
+	// record into a private registry and publish it in one merge at the
+	// end, so their Stages stay exact under a shared sink; EncodeVolumes
+	// and DecodeVolume record straight into Metrics. Nil disables
 	// accumulation (each run's own counters are still reported, as
 	// Result.Stages and StreamResult.Stages).
 	Metrics *obs.Registry
@@ -219,28 +220,12 @@ type Result struct {
 	// Strands, Reads and Clusters count the intermediate volumes.
 	Strands, Reads, Clusters int
 	// Attempts counts the reconstruct+decode attempts performed (1 unless
-	// RunOptions.Retries escalated a failed decode).
+	// RunOptions.Retries re-ran a failed decode).
 	Attempts int
-
-	// Intermediates for evaluation (ground truth origins etc.). These are
-	// nil unless KeepIntermediates was set on Run's options.
-	EncodedStrands []dna.Seq
-	SimReads       []sim.Read
-	ClusterSets    [][]int
-	Reconstructed  []dna.Seq
 }
 
 // RunOptions tweaks a pipeline execution.
 type RunOptions struct {
-	// KeepIntermediates retains encoded strands, reads, cluster membership
-	// and reconstructed strands on the Result for evaluation.
-	KeepIntermediates bool
-	// MinClusterSize drops clusters with fewer reads before reconstruction.
-	// A consensus from one or two reads is frequently wrong, and a wrong
-	// strand costs the outer code twice what a missing strand does (an
-	// error consumes two parity symbols, an erasure one — §IV). Dropping
-	// starved clusters converts likely errors into erasures. 0 keeps all.
-	MinClusterSize int
 	// StageTimeout bounds each stage invocation (simulate, cluster,
 	// reconstruct, decode) with its own deadline. Enforcement is
 	// cooperative: the built-in worker pools check the deadline between
@@ -248,19 +233,16 @@ type RunOptions struct {
 	// matching both ErrCancelled and context.DeadlineExceeded. 0 disables.
 	StageTimeout time.Duration
 	// Retries is the number of additional reconstruct+decode attempts after
-	// a failed or corrupt decode. Each retry escalates MinClusterSize (to at
-	// least 2 on the first retry, +1 per further retry), converting likely-
-	// wrong consensus strands from starved clusters into erasures, and
-	// switches to FallbackReconstructor when one is set. Simulation and
-	// clustering are not re-run: retries re-interpret the same sequencing
-	// run. 0 disables retrying.
+	// a failed or corrupt decode. Attempt i (0-based) keeps only clusters of
+	// at least i+1 reads. A consensus from one or two reads is frequently
+	// wrong, and a wrong strand costs the outer code twice what a missing
+	// strand does (an error consumes two parity symbols, an erasure one —
+	// §IV), so each retry turns the likeliest errors into erasures. A retry
+	// whose floor keeps no cluster ends the attempts (floors only rise) and
+	// the earlier attempts' outcome stands. Simulation and clustering are
+	// not re-run: retries re-interpret the same sequencing run. 0 disables
+	// retrying.
 	Retries int
-	// FallbackReconstructor replaces the pipeline's Reconstructor on retry
-	// attempts — typically the slower NW/POA consensus as a second opinion
-	// after a fast BMA first pass. (recon.Adaptive makes that trade per
-	// cluster instead of per attempt; a pipeline already running it rarely
-	// needs a fallback.) Nil keeps the primary reconstructor.
-	FallbackReconstructor Reconstructor
 	// BestEffort salvages a partial file instead of failing: when decode
 	// still fails after all retries, Run returns every recoverable byte
 	// with Report.Partial set and Report.Units mapping the damaged regions,
@@ -304,7 +286,7 @@ func (p *Pipeline) RunContext(ctx context.Context, data []byte, opts RunOptions)
 	enc := reg.Stage(stageEncode)
 	enc.AddIn(int64(len(data)))
 	var strands []dna.Seq
-	err := runStage(ctx, enc, 0, func(context.Context) error {
+	err := runStage(ctx, stageEncode, enc, 0, func(context.Context) error {
 		var eerr error
 		strands, eerr = p.Codec.EncodeFile(data)
 		return eerr
@@ -318,7 +300,7 @@ func (p *Pipeline) RunContext(ctx context.Context, data []byte, opts RunOptions)
 	simSt := reg.Stage(stageSimulate)
 	simSt.AddIn(int64(len(strands)))
 	var reads []sim.Read
-	err = runStage(ctx, simSt, opts.StageTimeout, func(ctx context.Context) error {
+	err = runStage(ctx, stageSimulate, simSt, opts.StageTimeout, func(ctx context.Context) error {
 		var serr error
 		reads, serr = p.Simulator.Simulate(ctx, strands)
 		return serr
@@ -336,7 +318,7 @@ func (p *Pipeline) RunContext(ctx context.Context, data []byte, opts RunOptions)
 	cluSt := reg.Stage(stageCluster)
 	cluSt.AddIn(int64(len(seqs)))
 	var clu cluster.Result
-	err = runStage(ctx, cluSt, opts.StageTimeout, func(ctx context.Context) error {
+	err = runStage(ctx, stageCluster, cluSt, opts.StageTimeout, func(ctx context.Context) error {
 		var cerr error
 		clu, cerr = p.Clusterer.Cluster(ctx, seqs)
 		return cerr
@@ -348,11 +330,6 @@ func (p *Pipeline) RunContext(ctx context.Context, data []byte, opts RunOptions)
 	res.Clusters = len(clu.Clusters)
 	res.ClusterStats = clu.Stats
 
-	if opts.KeepIntermediates {
-		res.EncodedStrands = strands
-		res.SimReads = reads
-	}
-
 	outcome, err := p.runDecodePhase(ctx, decodeJob{
 		strands:   res.Strands,
 		targetLen: p.Codec.StrandLen(),
@@ -362,9 +339,6 @@ func (p *Pipeline) RunContext(ctx context.Context, data []byte, opts RunOptions)
 	}, opts, seqs, clu.Clusters, reg)
 	res.Attempts = outcome.Attempts
 	res.Data, res.Report = outcome.Data, outcome.Report
-	if opts.KeepIntermediates {
-		res.ClusterSets, res.Reconstructed = outcome.ClusterSets, outcome.Reconstructed
-	}
 	return res, err
 }
 
@@ -381,22 +355,18 @@ type decodeJob struct {
 	decode func(ctx context.Context, recons []dna.Seq, o codec.DecodeOptions) ([]byte, codec.Report, error)
 }
 
-// decodeOutcome is what the attempt loop produced. ClusterSets and
-// Reconstructed describe the winning attempt (callers expose them only when
-// intermediates were requested).
+// decodeOutcome is what the attempt loop produced.
 type decodeOutcome struct {
-	Data          []byte
-	Report        codec.Report
-	Attempts      int
-	ClusterSets   [][]int
-	Reconstructed []dna.Seq
+	Data     []byte
+	Report   codec.Report
+	Attempts int
 }
 
-// runDecodePhase is the reconstruct+decode attempt loop with escalation
-// (see RunOptions.Retries): each retry raises the cluster-size floor,
-// optionally switches reconstructor, and re-interprets the same clustering.
-// Reconstruct and Decode busy times, item counts and retry counters
-// accumulate into reg across attempts.
+// runDecodePhase is the reconstruct+decode attempt loop (see
+// RunOptions.Retries): attempt i reconstructs the clusters of at least i+1
+// reads with the pipeline's Reconstructor and decodes them, re-interpreting
+// the same clustering. Reconstruct and Decode busy times, item counts and
+// retry counters accumulate into reg across attempts.
 func (p *Pipeline) runDecodePhase(ctx context.Context, job decodeJob, opts RunOptions, seqs []dna.Seq, clusters [][]int, reg *obs.Registry) (decodeOutcome, error) {
 	recSt := reg.Stage(stageReconstruct)
 	decSt := reg.Stage(stageDecode)
@@ -406,25 +376,30 @@ func (p *Pipeline) runDecodePhase(ctx context.Context, job decodeJob, opts RunOp
 	var err error
 	bestFailed := -1 // fewest failed codewords among data-producing attempts
 	for attempt := 0; attempt <= opts.Retries; attempt++ {
+		floor := attempt + 1
+		clusterSeqs := filterClusters(seqs, clusters, floor)
+		if len(clusterSeqs) == 0 {
+			if attempt > 0 {
+				// Floors only rise, so no later attempt keeps a cluster
+				// either: end with what the earlier attempts produced.
+				break
+			}
+			// Nothing to reconstruct at all: give up with an accurate
+			// report, every expected molecule missing.
+			out.Report = codec.Report{MissingColumns: job.strands}
+			return out, noUsableClustersErr(floor, len(clusters))
+		}
 		out.Attempts = attempt + 1
 		if attempt > 0 {
 			// Both stages re-run on a retry; each counts it.
 			recSt.AddRetries(1)
 			decSt.AddRetries(1)
 		}
-		minSize, reconstructor := escalation(attempt, opts, p.Reconstructor)
-		clusterSeqs, keptClusters := filterClusters(seqs, clusters, minSize)
-		if len(clusterSeqs) == 0 {
-			// Escalation only drops more clusters; give up immediately with
-			// an accurate report: every expected molecule is missing.
-			out.Report = codec.Report{MissingColumns: job.strands}
-			return out, noUsableClustersErr(minSize, len(clusters))
-		}
 		recSt.AddIn(int64(len(clusterSeqs)))
 		var recons []dna.Seq
-		err = runStage(ctx, recSt, opts.StageTimeout, func(ctx context.Context) error {
+		err = runStage(ctx, stageReconstruct, recSt, opts.StageTimeout, func(ctx context.Context) error {
 			var rerr error
-			recons, rerr = reconstructor.ReconstructAll(ctx, clusterSeqs, job.targetLen)
+			recons, rerr = p.Reconstructor.ReconstructAll(ctx, clusterSeqs, job.targetLen)
 			return rerr
 		})
 		if err != nil {
@@ -438,7 +413,7 @@ func (p *Pipeline) runDecodePhase(ctx context.Context, job decodeJob, opts RunOp
 		decSt.AddIn(int64(len(recons)))
 		var data []byte
 		var report codec.Report
-		err = runStage(ctx, decSt, opts.StageTimeout, func(ctx context.Context) error {
+		err = runStage(ctx, stageDecode, decSt, opts.StageTimeout, func(ctx context.Context) error {
 			var derr error
 			data, report, derr = job.decode(ctx, recons, codec.DecodeOptions{})
 			return derr
@@ -449,7 +424,6 @@ func (p *Pipeline) runDecodePhase(ctx context.Context, job decodeJob, opts RunOp
 		if err == nil && report.FailedCodewords == 0 {
 			// Fully recovered (modulo repaired damage): done.
 			out.Data, out.Report = data, report
-			out.ClusterSets, out.Reconstructed = keptClusters, recons
 			return out, nil
 		}
 		if err != nil && isAbort(err) {
@@ -460,7 +434,6 @@ func (p *Pipeline) runDecodePhase(ctx context.Context, job decodeJob, opts RunOp
 			// least-damaged attempt in case no retry does better.
 			bestFailed = report.FailedCodewords
 			out.Data, out.Report = data, report
-			out.ClusterSets, out.Reconstructed = keptClusters, recons
 		}
 		if err != nil {
 			// The decoder populates its report even on failure; keep the
@@ -483,7 +456,7 @@ func (p *Pipeline) runDecodePhase(ctx context.Context, job decodeJob, opts RunOp
 		decSt.AddIn(int64(len(firstRecons)))
 		var data []byte
 		var report codec.Report
-		err = runStage(ctx, decSt, opts.StageTimeout, func(ctx context.Context) error {
+		err = runStage(ctx, stageDecode, decSt, opts.StageTimeout, func(ctx context.Context) error {
 			var derr error
 			data, report, derr = job.decode(ctx, firstRecons, codec.DecodeOptions{BestEffort: true})
 			return derr
@@ -504,34 +477,9 @@ func (p *Pipeline) runDecodePhase(ctx context.Context, job decodeJob, opts RunOp
 	return out, lastErr
 }
 
-// escalation returns the cluster-size floor and reconstructor for the given
-// 0-based attempt, per the RunOptions.Retries policy.
-func escalation(attempt int, opts RunOptions, primary Reconstructor) (int, Reconstructor) {
-	if attempt == 0 {
-		return opts.MinClusterSize, primary
-	}
-	minSize := opts.MinClusterSize
-	if minSize < 2 {
-		minSize = 2
-	}
-	minSize += attempt - 1
-	rec := primary
-	if opts.FallbackReconstructor != nil {
-		rec = opts.FallbackReconstructor
-	}
-	return minSize, rec
-}
-
-// filterClusters materializes the clusters with at least minSize reads. The
-// floor is clamped to 1: a memberless cluster can only ever reconstruct to
-// an erasure, so even "keep all" (MinClusterSize 0, or a negative value)
-// drops it here instead of handing the reconstruction pool empty work.
-func filterClusters(seqs []dna.Seq, clusters [][]int, minSize int) ([][]dna.Seq, [][]int) {
-	if minSize < 1 {
-		minSize = 1
-	}
-	clusterSeqs := make([][]dna.Seq, 0, len(clusters))
-	kept := make([][]int, 0, len(clusters))
+// filterClusters materializes the clusters with at least minSize reads.
+func filterClusters(seqs []dna.Seq, clusters [][]int, minSize int) [][]dna.Seq {
+	out := make([][]dna.Seq, 0, len(clusters))
 	for _, members := range clusters {
 		if len(members) < minSize {
 			continue
@@ -540,53 +488,7 @@ func filterClusters(seqs []dna.Seq, clusters [][]int, minSize int) ([][]dna.Seq,
 		for j, m := range members {
 			cs[j] = seqs[m]
 		}
-		clusterSeqs = append(clusterSeqs, cs)
-		kept = append(kept, members)
+		out = append(out, cs)
 	}
-	return clusterSeqs, kept
-}
-
-// Evaluation scores a pipeline run against its own ground truth.
-type Evaluation struct {
-	// ClusteringAccuracy is the Rashtchian accuracy at the given gamma.
-	ClusteringAccuracy float64
-	// ClusteringPurity is the fraction of reads in majority-origin clusters.
-	ClusteringPurity float64
-	// PerfectStrands counts reconstructions identical to their source
-	// strand (matched by decoded index).
-	PerfectStrands int
-	// StrandsTotal is the number of encoded strands.
-	StrandsTotal int
-}
-
-// Evaluate computes ground-truth quality metrics from a Result that was run
-// with KeepIntermediates. It returns false when the intermediates are
-// missing or carry no origin information (e.g. a ReadsSource pipeline).
-func (p *Pipeline) Evaluate(res Result, gamma float64) (Evaluation, bool) {
-	if res.SimReads == nil || res.ClusterSets == nil || res.Reconstructed == nil {
-		return Evaluation{}, false
-	}
-	origins := make([]int, len(res.SimReads))
-	for i, r := range res.SimReads {
-		if r.Origin < 0 {
-			return Evaluation{}, false
-		}
-		origins[i] = r.Origin
-	}
-	ev := Evaluation{
-		ClusteringAccuracy: cluster.Accuracy(res.ClusterSets, origins, gamma, res.Strands),
-		ClusteringPurity:   cluster.Purity(res.ClusterSets, origins),
-		StrandsTotal:       res.Strands,
-	}
-	// Match reconstructions to source strands via the decoded index.
-	for _, rec := range res.Reconstructed {
-		idx, _, err := p.Codec.ParseStrand(rec)
-		if err != nil || idx >= uint64(len(res.EncodedStrands)) {
-			continue
-		}
-		if rec.Equal(res.EncodedStrands[idx]) {
-			ev.PerfectStrands++
-		}
-	}
-	return ev, true
+	return out
 }

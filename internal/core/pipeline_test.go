@@ -121,33 +121,6 @@ func TestResultStagesMatchMetrics(t *testing.T) {
 	}
 }
 
-func TestKeepIntermediates(t *testing.T) {
-	data := []byte("keep the evidence")
-	p := testPipeline(t, recon.NW{}, 0.03, 6)
-	res, err := p.Run(data, RunOptions{KeepIntermediates: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.EncodedStrands) != res.Strands || len(res.SimReads) != res.Reads {
-		t.Fatal("intermediates missing")
-	}
-	if len(res.ClusterSets) != res.Clusters || len(res.Reconstructed) != res.Clusters {
-		t.Fatal("cluster intermediates missing")
-	}
-	// Ground truth accuracy should be computable from the intermediates.
-	origins := make([]int, len(res.SimReads))
-	for i, r := range res.SimReads {
-		origins[i] = r.Origin
-	}
-	if acc := cluster.Accuracy(res.ClusterSets, origins, 0.5, res.Strands); acc < 0.9 {
-		t.Fatalf("clustering accuracy %v at 3%%", acc)
-	}
-	res2, _ := p.Run(data, RunOptions{})
-	if res2.EncodedStrands != nil || res2.SimReads != nil {
-		t.Fatal("intermediates kept without being requested")
-	}
-}
-
 func TestNotConfigured(t *testing.T) {
 	p := &Pipeline{}
 	if _, err := (p).Run(nil, RunOptions{}); err != ErrNotConfigured {
@@ -259,65 +232,3 @@ func (firstReadReconstructor) ReconstructAll(_ context.Context, clusters [][]dna
 }
 
 func (firstReadReconstructor) Name() string { return "first-read" }
-
-func TestMinClusterSizeHarmlessWhenClustersHealthy(t *testing.T) {
-	// With fixed coverage 6, no cluster falls below 2 reads, so the filter
-	// must change nothing and the file must survive.
-	data := bytes.Repeat([]byte("healthy clusters"), 12)
-	p := testPipeline(t, recon.NW{}, 0.04, 6)
-	keepAll, err := p.Run(data, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	filtered, err := p.Run(data, RunOptions{MinClusterSize: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if filtered.Report.MissingColumns != keepAll.Report.MissingColumns {
-		t.Fatalf("filter changed a healthy run: %v vs %v", filtered.Report, keepAll.Report)
-	}
-	if !bytes.Equal(filtered.Data, data) {
-		t.Fatalf("file lost: %v", filtered.Report)
-	}
-}
-
-func TestMinClusterSizeFiltersAllAtLowCoverage(t *testing.T) {
-	// Coverage 2 with MinClusterSize 3 drops every cluster: the decoder
-	// must report an explicit failure, proving the filter is applied.
-	data := []byte("two reads per strand")
-	c := testCodec(t, nil)
-	p := New(c,
-		sim.Options{Channel: sim.CalibratedIID(0.01), Coverage: sim.FixedCoverage(2), Seed: 35},
-		cluster.Options{Seed: 37},
-		recon.NW{})
-	ok, err := p.Run(data, RunOptions{})
-	if err != nil || !bytes.Equal(ok.Data, data) {
-		t.Fatalf("baseline at coverage 2 failed: %v %v", ok.Report, err)
-	}
-	if _, err := p.Run(data, RunOptions{MinClusterSize: 3}); err == nil {
-		t.Fatal("dropping every cluster still decoded")
-	}
-}
-
-func TestEvaluate(t *testing.T) {
-	p := testPipeline(t, recon.NW{}, 0.04, 8)
-	res, err := p.Run([]byte("evaluate me, end to end"), RunOptions{KeepIntermediates: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, ok := p.Evaluate(res, 0.9)
-	if !ok {
-		t.Fatal("Evaluate refused intermediates")
-	}
-	if ev.ClusteringAccuracy < 0.9 || ev.ClusteringPurity < 0.99 {
-		t.Fatalf("evaluation = %+v", ev)
-	}
-	if ev.PerfectStrands < ev.StrandsTotal*7/10 {
-		t.Fatalf("only %d/%d perfect strands at 4%%", ev.PerfectStrands, ev.StrandsTotal)
-	}
-	// Without intermediates Evaluate must refuse.
-	res2, _ := p.Run([]byte("no evidence"), RunOptions{})
-	if _, ok := p.Evaluate(res2, 0.9); ok {
-		t.Fatal("Evaluate accepted a result without intermediates")
-	}
-}

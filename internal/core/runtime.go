@@ -39,8 +39,10 @@ var (
 	// ErrRetriesExhausted wraps the final decode error after every retry
 	// attempt (RunOptions.Retries) failed.
 	ErrRetriesExhausted = errors.New("core: decode failed after all retry attempts")
-	// ErrNoUsableClusters is returned when MinClusterSize filtering drops
-	// every cluster, leaving the decoder nothing to work with.
+	// ErrNoUsableClusters is returned when clustering left no cluster with a
+	// read (a run with no reads, say), so the first attempt has nothing to
+	// reconstruct. A retry whose cluster-size floor keeps no cluster does not
+	// return it: the earlier attempts' outcome stands.
 	ErrNoUsableClusters = errors.New("core: no clusters survived filtering")
 	// ErrVolumeDamaged is returned by RunStream when one or more volumes
 	// could not be recovered and best-effort mode is off. The per-volume
@@ -60,8 +62,8 @@ func cancelErr(ctx context.Context, stage string) error {
 }
 
 // noUsableClustersErr details an ErrNoUsableClusters failure.
-func noUsableClustersErr(minSize, clusters int) error {
-	return fmt.Errorf("%w: MinClusterSize=%d dropped all %d clusters", ErrNoUsableClusters, minSize, clusters)
+func noUsableClustersErr(floor, clusters int) error {
+	return fmt.Errorf("%w: cluster-size floor %d dropped all %d clusters", ErrNoUsableClusters, floor, clusters)
 }
 
 // retriesExhaustedErr details an ErrRetriesExhausted failure.
@@ -90,13 +92,13 @@ func isAbort(err error) bool {
 //     comes back wrapped in ErrCancelled with the cause preserved;
 //   - any other stage error passes through untouched.
 //
-// st is the stage's obs counter set: runStage records the call and busy
-// time through st.Time, counts a contained panic via AddPanics, and fires
-// the registry's StageBegin/StageEnd hooks. A hook that panics (chaos
-// injection) is indistinguishable from the stage itself panicking — it
-// surfaces as ErrStagePanic with the stage name attached.
-func runStage(ctx context.Context, st *obs.Stage, timeout time.Duration, fn func(ctx context.Context) error) error {
-	stage := st.Name()
+// stage names the stage in those errors, and st is its obs counter set
+// (nil, from a nil registry, records nothing): runStage records the call
+// and busy time through st.Time, counts a contained panic via AddPanics,
+// and fires the registry's StageBegin/StageEnd hooks. A hook that panics
+// (chaos injection) is indistinguishable from the stage itself panicking —
+// it surfaces as ErrStagePanic with the stage name attached.
+func runStage(ctx context.Context, stage string, st *obs.Stage, timeout time.Duration, fn func(ctx context.Context) error) error {
 	if timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, timeout)

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,6 +14,7 @@ import (
 	"dnastore/internal/cluster"
 	"dnastore/internal/codec"
 	"dnastore/internal/dna"
+	"dnastore/internal/obs"
 	"dnastore/internal/recon"
 	"dnastore/internal/sim"
 	"dnastore/internal/xrand"
@@ -178,24 +182,78 @@ func (garbageReconstructor) ReconstructAll(_ context.Context, clusters [][]dna.S
 	return make([]dna.Seq, len(clusters)), nil // all nil: nothing parsable
 }
 
-func TestRetryFallbackReconstructorRecovers(t *testing.T) {
-	// The primary reconstructor produces nothing; the retry controller must
-	// escalate to the fallback and recover the file on the second attempt.
-	data := []byte("second opinion saves the day")
-	p := testPipeline(t, recon.NW{}, 0.01, 8)
-	p.Reconstructor = garbageReconstructor{}
-	res, err := p.Run(data, RunOptions{
-		Retries:               1,
-		FallbackReconstructor: AlgorithmReconstructor{Algorithm: recon.NW{}},
-	})
+// starvedThirdSimulator sequences every third strand once, without error,
+// and every other strand four times through a 1 % IID channel.
+type starvedThirdSimulator struct{ seed uint64 }
+
+func (s starvedThirdSimulator) Simulate(_ context.Context, strands []dna.Seq) ([]sim.Read, error) {
+	rng := xrand.New(s.seed)
+	ch := sim.CalibratedIID(0.01)
+	var reads []sim.Read
+	for i, st := range strands {
+		if i%3 == 0 {
+			reads = append(reads, sim.Read{Seq: st.Clone(), Origin: i})
+			continue
+		}
+		for range 4 {
+			reads = append(reads, sim.Read{Seq: ch.Transmit(rng, st), Origin: i})
+		}
+	}
+	return reads, nil
+}
+
+// singleReadSaboteur is NW consensus that substitutes every base of the
+// second half of each single-read cluster's consensus: the wrong strands a
+// starved cluster can produce.
+type singleReadSaboteur struct{}
+
+func (singleReadSaboteur) Name() string { return "single-read-saboteur" }
+
+func (singleReadSaboteur) ReconstructAll(ctx context.Context, clusters [][]dna.Seq, targetLen int) ([]dna.Seq, error) {
+	out, err := recon.ReconstructAllContext(ctx, clusters, targetLen, recon.NW{}, 0)
+	for i, c := range clusters {
+		if len(c) != 1 || len(out[i]) == 0 {
+			continue
+		}
+		bad := out[i].Clone()
+		for j := len(bad) / 2; j < len(bad); j++ {
+			bad[j] = (bad[j] + 1) % dna.NumBases
+		}
+		out[i] = bad
+	}
+	return out, err
+}
+
+func TestRetryFloorRecovers(t *testing.T) {
+	// A third of the strands come back as a single read whose consensus is
+	// wrong: as errors they cost the outer code two parity symbols each and
+	// sink the decode. The retry's floor of 2 reads drops those clusters, so
+	// they cost one symbol each as erasures, and the file comes back.
+	data := bytes.Repeat([]byte("dna storage toolkit!"), 20)
+	p := testPipeline(t, recon.NW{}, 0, 4)
+	p.Simulator = starvedThirdSimulator{seed: 151}
+	p.Reconstructor = singleReadSaboteur{}
+
+	first, err := p.Run(data, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Report.FailedCodewords == 0 || bytes.Equal(first.Data, data) {
+		t.Fatalf("attempt 0 alone decoded the file (%v); the retry has nothing to show", first.Report)
+	}
+
+	res, err := p.Run(data, RunOptions{Retries: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Attempts != 2 {
 		t.Fatalf("attempts = %d, want 2", res.Attempts)
 	}
-	if !bytes.Equal(res.Data, data) {
-		t.Fatalf("fallback did not recover the file: %v", res.Report)
+	if !bytes.Equal(res.Data, data) || res.Report.FailedCodewords != 0 {
+		t.Fatalf("the floor did not recover the file: %v", res.Report)
+	}
+	if want := res.Strands / 3 * p.Codec.Params().PayloadBytes; res.Report.ErasedSymbols != want {
+		t.Fatalf("erased symbols = %d, want %d (one per payload byte of each single-read strand)", res.Report.ErasedSymbols, want)
 	}
 }
 
@@ -212,20 +270,109 @@ func TestRetriesExhaustedTypedError(t *testing.T) {
 }
 
 func TestNoUsableClustersReportsAccurately(t *testing.T) {
-	// Degenerate edge: MinClusterSize drops every cluster. Run must return
-	// the typed error AND a populated report (every molecule missing).
-	data := []byte("two reads per strand")
-	c := testCodec(t, nil)
-	p := New(c,
-		sim.Options{Channel: sim.CalibratedIID(0.01), Coverage: sim.FixedCoverage(2), Seed: 113},
-		cluster.Options{Seed: 127},
-		recon.NW{})
-	res, err := p.Run(data, RunOptions{MinClusterSize: 5})
-	if !errors.Is(err, ErrNoUsableClusters) {
-		t.Fatalf("err = %v, want ErrNoUsableClusters", err)
+	// Degenerate edge: a run with no reads leaves attempt 0 no cluster to
+	// reconstruct. Run must return the typed error AND a populated report
+	// (every molecule missing), whatever the retry count.
+	data := []byte("no reads at all")
+	p := testPipeline(t, recon.NW{}, 0.01, 2)
+	p.Simulator = ReadsSource{}
+	for _, retries := range []int{0, 2} {
+		res, err := p.Run(data, RunOptions{Retries: retries})
+		if !errors.Is(err, ErrNoUsableClusters) {
+			t.Fatalf("retries %d: err = %v, want ErrNoUsableClusters", retries, err)
+		}
+		if !strings.Contains(err.Error(), "cluster-size floor 1") {
+			t.Fatalf("retries %d: err %q does not name the floor", retries, err)
+		}
+		if res.Report.MissingColumns != res.Strands || res.Strands == 0 {
+			t.Fatalf("retries %d: report not populated: missing=%d strands=%d", retries, res.Report.MissingColumns, res.Strands)
+		}
+		if res.Attempts != 0 {
+			t.Fatalf("retries %d: attempts = %d, want 0", retries, res.Attempts)
+		}
 	}
-	if res.Report.MissingColumns != res.Strands || res.Strands == 0 {
-		t.Fatalf("report not populated: missing=%d strands=%d", res.Report.MissingColumns, res.Strands)
+}
+
+// stageRetries returns the retry counter of the named stage.
+func stageRetries(stages []obs.StageSnapshot, name string) int64 {
+	for _, s := range stages {
+		if s.Stage == name {
+			return s.Retries
+		}
+	}
+	return 0
+}
+
+func TestRetryKeepingNoClusterKeepsAttemptZero(t *testing.T) {
+	// At coverage 1 each of this run's 60 clusters holds one read, so the
+	// first retry's floor of 2 keeps none. That retry must end the attempts
+	// with attempt 0's outcome (data with failed codewords), not discard it
+	// for ErrNoUsableClusters.
+	data := bytes.Repeat([]byte("dna storage toolkit!"), 20)
+	p := testPipeline(t, recon.DoubleSidedBMA{}, 0.02, 1)
+	base, err := p.Run(data, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Report.FailedCodewords == 0 {
+		t.Fatalf("attempt 0 decoded cleanly (%v); the case needs failed codewords", base.Report)
+	}
+	for _, best := range []bool{false, true} {
+		res, err := p.Run(data, RunOptions{Retries: 1, BestEffort: best})
+		if err != nil {
+			t.Fatalf("best effort %v: %v", best, err)
+		}
+		if !bytes.Equal(res.Data, base.Data) || !reflect.DeepEqual(res.Report, base.Report) {
+			t.Fatalf("best effort %v: report %v, want attempt 0's %v", best, res.Report, base.Report)
+		}
+		if res.Attempts != 1 {
+			t.Fatalf("best effort %v: attempts = %d, want 1 (the retry kept no cluster)", best, res.Attempts)
+		}
+		for _, stage := range []string{stageReconstruct, stageDecode} {
+			if n := stageRetries(res.Stages, stage); n != 0 {
+				t.Fatalf("best effort %v: %s counted %d retries, want 0", best, stage, n)
+			}
+		}
+	}
+}
+
+func TestRetriesNeverWorseThanNone(t *testing.T) {
+	// Property: at low coverage, where retries' floors drop many or all
+	// clusters, Retries 1 and 2 never return an error where Retries 0
+	// returned data, and never more failed codewords. One exception is
+	// checked only for the error: when attempt 0's strict decode fails and
+	// BestEffort salvages it, a retry that decodes data of its own returns
+	// that data even with more failed codewords than the salvage (seed 3,
+	// 1 %, coverage 1: 15 against 13), because the loop keeps the
+	// least-damaged attempt and salvages only when no attempt produced data.
+	data := bytes.Repeat([]byte("retries never hurt "), 20)
+	for _, seed := range []uint64{1, 2, 3} {
+		for _, rate := range []float64{0.01, 0.03} {
+			for _, coverage := range []int{1, 2} {
+				p := New(testCodec(t, nil),
+					sim.Options{Channel: sim.CalibratedIID(rate), Coverage: sim.FixedCoverage(coverage), Seed: seed},
+					cluster.Options{Seed: seed + 1},
+					recon.DoubleSidedBMA{})
+				salvaged := false // the BestEffort baseline is attempt 0's salvage
+				for _, best := range []bool{false, true} {
+					name := fmt.Sprintf("seed %d rate %v coverage %d best effort %v", seed, rate, coverage, best)
+					base, err := p.Run(data, RunOptions{BestEffort: best})
+					if err != nil {
+						salvaged = true
+						continue // Retries 0 returned no data: nothing to compare
+					}
+					for _, retries := range []int{1, 2} {
+						res, err := p.Run(data, RunOptions{Retries: retries, BestEffort: best})
+						if err != nil {
+							t.Fatalf("%s: Retries %d failed (%v) where Retries 0 returned data", name, retries, err)
+						}
+						if !salvaged && res.Report.FailedCodewords > base.Report.FailedCodewords {
+							t.Fatalf("%s: Retries %d left %d failed codewords, Retries 0 %d", name, retries, res.Report.FailedCodewords, base.Report.FailedCodewords)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

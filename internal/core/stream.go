@@ -373,20 +373,17 @@ func (p *Pipeline) RunStream(ctx context.Context, r io.Reader, w io.Writer, opts
 // and demuxes the reads back into per-volume shards. Stage failures degrade
 // the affected volumes (their VolumeWork carries the error) instead of
 // failing the run — except cancellation, which the caller observes via ctx.
-// Counters record into a private per-group registry and publish into sink
-// in one merge at the end; sink's hooks fire live.
-func (p *Pipeline) processGroup(ctx context.Context, group []volumeChunk, opts StreamOptions, sink *obs.Registry) []VolumeWork {
-	greg := obs.NewRegistry()
-	greg.InheritHooks(sink)
-	defer greg.Publish(sink)
-	enc := greg.Stage(stageEncode)
+// Counters record straight into reg, whose hooks fire at every stage
+// boundary.
+func (p *Pipeline) processGroup(ctx context.Context, group []volumeChunk, opts StreamOptions, reg *obs.Registry) []VolumeWork {
+	enc := reg.Stage(stageEncode)
 	works := make([]VolumeWork, len(group))
 	var pooled []dna.Seq
 	for i, ch := range group {
 		works[i] = VolumeWork{ID: ch.id, Bytes: len(ch.data)}
 		enc.AddIn(int64(len(ch.data)))
 		var strands []dna.Seq
-		err := runStage(ctx, enc, opts.StageTimeout, func(_ context.Context) error {
+		err := runStage(ctx, stageEncode, enc, opts.StageTimeout, func(_ context.Context) error {
 			var eerr error
 			strands, eerr = p.Codec.EncodeVolume(ch.id, opts.VolumeBytes, ch.data)
 			return eerr
@@ -400,10 +397,10 @@ func (p *Pipeline) processGroup(ctx context.Context, group []volumeChunk, opts S
 		pooled = append(pooled, strands...)
 	}
 
-	simSt := greg.Stage(stageSimulate)
+	simSt := reg.Stage(stageSimulate)
 	simSt.AddIn(int64(len(pooled)))
 	var reads []sim.Read
-	err := runStage(ctx, simSt, opts.StageTimeout, func(ctx context.Context) error {
+	err := runStage(ctx, stageSimulate, simSt, opts.StageTimeout, func(ctx context.Context) error {
 		var serr error
 		// The per-group simulation seed derives from the group's first
 		// volume id, so a group's reads depend only on (options, group) —
@@ -434,7 +431,7 @@ func (p *Pipeline) processGroup(ctx context.Context, group []volumeChunk, opts S
 	// the archive) go to the spill count — never silently dropped, and never
 	// migrated into a concurrently-processed group, which would make output
 	// depend on scheduling.
-	dmx := greg.Stage(stageDemux)
+	dmx := reg.Stage(stageDemux)
 	dmx.AddIn(int64(len(reads)))
 	capacity := p.Codec.VolumeCapacity(opts.VolumeBytes)
 	first := group[0].id
@@ -466,19 +463,13 @@ func (p *Pipeline) processGroup(ctx context.Context, group []volumeChunk, opts S
 }
 
 // processVolume runs one volume through cluster → reconstruct → decode,
-// reusing the batch pipeline's attempt loop (escalation, retries,
-// best-effort salvage) with the volume decoder. All failures are contained
-// in the VolumeResult. Counters record into a private per-volume registry
-// and publish into sink in one merge at the end.
-func (p *Pipeline) processVolume(ctx context.Context, wk VolumeWork, opts StreamOptions, sink *obs.Registry) (out VolumeResult) {
-	vreg := obs.NewRegistry()
-	vreg.InheritHooks(sink)
+// reusing the batch pipeline's attempt loop (retries, best-effort salvage)
+// with the volume decoder. All failures are contained in the VolumeResult.
+// Counters record straight into reg.
+func (p *Pipeline) processVolume(ctx context.Context, wk VolumeWork, opts StreamOptions, reg *obs.Registry) (out VolumeResult) {
 	// Every return path carries an outcome record: the deferred finalize
 	// classifies the result after Err/Report settle.
-	defer func() {
-		vreg.Publish(sink)
-		out.finalizeOutcome(p.Codec.UnitDataBytes())
-	}()
+	defer out.finalizeOutcome(p.Codec.UnitDataBytes())
 	vr := VolumeResult{
 		ID:      wk.ID,
 		Bytes:   wk.Bytes,
@@ -491,10 +482,10 @@ func (p *Pipeline) processVolume(ctx context.Context, wk VolumeWork, opts Stream
 		return vr
 	}
 
-	cluSt := vreg.Stage(stageCluster)
+	cluSt := reg.Stage(stageCluster)
 	cluSt.AddIn(int64(len(wk.Reads)))
 	var clu cluster.Result
-	err := runStage(ctx, cluSt, opts.StageTimeout, func(ctx context.Context) error {
+	err := runStage(ctx, stageCluster, cluSt, opts.StageTimeout, func(ctx context.Context) error {
 		var cerr error
 		if vc, ok := p.Clusterer.(VolumeClusterer); ok {
 			clu, cerr = vc.ClusterVolume(ctx, wk.ID, wk.Reads)
@@ -520,7 +511,7 @@ func (p *Pipeline) processVolume(ctx context.Context, wk VolumeWork, opts Stream
 			_, data, rep, derr := p.Codec.DecodeVolumeContext(ctx, wk.ID, opts.VolumeBytes, recons, o)
 			return data, rep, derr
 		},
-	}, opts.RunOptions, wk.Reads, clu.Clusters, vreg)
+	}, opts.RunOptions, wk.Reads, clu.Clusters, reg)
 	vr.Attempts = outcome.Attempts
 	vr.Report = outcome.Report
 	vr.Data = outcome.Data

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"reflect"
 	"testing"
 
 	"dnastore/internal/cluster"
@@ -200,6 +201,47 @@ func TestStreamDamagedVolumeDegradation(t *testing.T) {
 	}
 }
 
+func TestStreamRetryKeepingNoClusterKeepsAttemptZero(t *testing.T) {
+	// At coverage 1 a retry's floor of 2 keeps no cluster in volumes 1–3
+	// (volume 0 has clusters that merged two reads, and its retry does not
+	// improve on attempt 0). Every volume must end with the bytes, report and
+	// outcome it has without retries.
+	p := New(testCodec(t, nil),
+		sim.Options{Channel: sim.CalibratedIID(0.004), Coverage: sim.FixedCoverage(1), Seed: 11},
+		cluster.Options{Seed: 13},
+		recon.DoubleSidedBMA{})
+	data := streamTestData(2000)
+	run := func(retries int) ([]byte, StreamResult) {
+		var out bytes.Buffer
+		res, err := p.RunStream(context.Background(), bytes.NewReader(data), &out, StreamOptions{
+			RunOptions:  RunOptions{Retries: retries, BestEffort: true},
+			VolumeBytes: 600,
+		})
+		if err != nil {
+			t.Fatalf("retries %d: %v", retries, err)
+		}
+		return out.Bytes(), res
+	}
+	baseOut, base := run(0)
+	if base.SalvagedVolumes == 0 {
+		t.Fatalf("no volume salvaged without retries (%d failed); the case needs damage", base.FailedVolumes)
+	}
+	out, res := run(1)
+	if !bytes.Equal(out, baseOut) {
+		t.Fatal("output differs from the run without retries")
+	}
+	if res.SalvagedVolumes != base.SalvagedVolumes || res.FailedVolumes != base.FailedVolumes {
+		t.Fatalf("salvaged/failed volumes %d/%d, want %d/%d as without retries",
+			res.SalvagedVolumes, res.FailedVolumes, base.SalvagedVolumes, base.FailedVolumes)
+	}
+	for i, v := range res.Volumes {
+		w := base.Volumes[i]
+		if v.Outcome != w.Outcome || !reflect.DeepEqual(v.Report, w.Report) {
+			t.Fatalf("volume %d: %s %v, want %s %v as without retries", i, v.Outcome, v.Report, w.Outcome, w.Report)
+		}
+	}
+}
+
 // panicClusterer panics on one volume and delegates otherwise.
 type panicClusterer struct {
 	inner  VolumeClusterer
@@ -291,11 +333,11 @@ func TestStreamMatchesBatchPerVolume(t *testing.T) {
 // expected to run under a GOMEMLIMIT far below the read pool a batch run of
 // the same archive would materialize (`make stream-smoke` sets 256 MiB).
 // Opt-in via DNASTORE_STREAM_SMOKE so plain `go test ./...` stays fast —
-// the round trip moves ~500k simulated reads. Coverage 3 leaves the BMA
-// consensus little margin, so the options include the escalation path a
-// real caller of this config would use: one retry with the NW/POA
-// reconstructor, paid only by a volume whose first decode fails (at this
-// seed, one volume of the sixteen).
+// the round trip moves ~500k simulated reads. Coverage 3 leaves a plain BMA
+// consensus little margin (at this seed double-sided BMA loses one volume of
+// the sixteen even after a retry), so the reconstructor is the adaptive
+// BMA/POA dispatcher, which takes the POA second opinion per cluster; one
+// retry stays on as a real caller of this config would set it.
 func TestStreamSmoke(t *testing.T) {
 	if os.Getenv("DNASTORE_STREAM_SMOKE") == "" {
 		t.Skip("set DNASTORE_STREAM_SMOKE=1 (see make stream-smoke)")
@@ -315,7 +357,7 @@ func TestStreamSmoke(t *testing.T) {
 			Seed: 9, Rounds: 6, NoStragglerSweep: true,
 			GramLen: 5, ThetaLow: 4, ThetaHigh: 12, EditThreshold: 40,
 		}},
-		Reconstructor: AlgorithmReconstructor{Algorithm: recon.DoubleSidedBMA{}},
+		Reconstructor: AlgorithmReconstructor{Algorithm: recon.Adaptive{}},
 	}
 	rng := xrand.New(0x57e4)
 	data := make([]byte, 16<<20)
@@ -326,10 +368,7 @@ func TestStreamSmoke(t *testing.T) {
 	out.Grow(len(data))
 	res, err := p.RunStream(context.Background(), bytes.NewReader(data), &out, StreamOptions{
 		VolumeBytes: 1 << 20, InFlight: 4,
-		RunOptions: RunOptions{
-			Retries:               1,
-			FallbackReconstructor: AlgorithmReconstructor{Algorithm: recon.NW{}},
-		},
+		RunOptions: RunOptions{Retries: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

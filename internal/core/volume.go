@@ -140,9 +140,7 @@ func (p *Pipeline) EncodeVolumes(ctx context.Context, r io.Reader, opts StreamOp
 		return nil
 	}
 	return readVolumes(r, opts, "archive", live, func(group []volumeChunk) error {
-		// p.Metrics (possibly nil) is the sink: archive workers and other
-		// per-volume callers accumulate straight into the pipeline's
-		// registry, one atomic publish per pooling group.
+		// Counters record straight into p.Metrics (nil records nothing).
 		works := p.processGroup(ctx, group, opts, p.Metrics)
 		if err := live(); err != nil {
 			return err

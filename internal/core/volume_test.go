@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"dnastore/internal/codec"
@@ -74,6 +76,26 @@ func TestEncodeDecodeVolumesMatchesRunStream(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+func TestDecodeVolumeErrorNamesStage(t *testing.T) {
+	// DecodeVolume records into Pipeline.Metrics, here nil: the contained
+	// panic of its clustering stage must still name the stage.
+	p := streamPipeline(t)
+	p.Clusterer = panicClusterer{inner: p.Clusterer.(OptionsClusterer), target: 0}
+	opts := StreamOptions{VolumeBytes: 600}
+	var works []VolumeWork
+	err := p.EncodeVolumes(context.Background(), bytes.NewReader(streamTestData(500)), opts, func(wk VolumeWork) error {
+		works = append(works, wk)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vr := p.DecodeVolume(context.Background(), works[0], opts)
+	if !errors.Is(vr.Err, ErrStagePanic) || !strings.Contains(vr.Err.Error(), "panicked: cluster:") {
+		t.Fatalf("err = %v, want ErrStagePanic naming the cluster stage", vr.Err)
 	}
 }
 

@@ -80,14 +80,6 @@ type Stage struct {
 	panics    atomic.Int64
 }
 
-// Name reports the stage name, or "" on a nil stage.
-func (s *Stage) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
-}
-
 func (s *Stage) fire(ev Event) {
 	if s == nil || s.reg == nil {
 		return
@@ -151,15 +143,17 @@ func (s *Stage) AddPanics(n int64) {
 	}
 }
 
-// AddBusy adds busy time recorded outside Time (e.g. a pooled stage's
-// share attributed to one volume).
+// AddBusy adds busy time measured by the caller, for work that does not fit
+// one Time call (the archive worker times each claimed volume across its
+// lease, decode and commit steps this way).
 func (s *Stage) AddBusy(d time.Duration) {
 	if s != nil {
 		s.busyNanos.Add(d.Nanoseconds())
 	}
 }
 
-// AddCalls adds to the call counter for work timed outside Time.
+// AddCalls adds to the call counter for work timed with AddBusy instead of
+// Time.
 func (s *Stage) AddCalls(n int64) {
 	if s != nil {
 		s.calls.Add(n)

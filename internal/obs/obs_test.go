@@ -137,9 +137,6 @@ func TestNilSafety(t *testing.T) {
 	st.AddPanics(1)
 	st.AddBusy(time.Second)
 	st.AddCalls(1)
-	if st.Name() != "" {
-		t.Fatal("nil stage name must be empty")
-	}
 }
 
 func TestCountersAndSnapshotOrder(t *testing.T) {

@@ -23,11 +23,11 @@
 // bit-identical to whichever of BMA or NW it selected — pinned by
 // FuzzReconDispatch.
 //
-// All algorithms reconstruct clusters independently, so ReconstructAll fans
-// out over a worker pool; each worker owns one Scratch holding every buffer
-// the algorithms need (POA graph, edit-distance kernels, BMA lookahead and
-// reversal buffers), so steady-state reconstruction performs no per-cluster
-// table allocations.
+// All algorithms reconstruct clusters independently, so
+// ReconstructAllContext fans out over a worker pool; each worker owns one
+// Scratch holding every buffer the algorithms need (POA graph, edit-distance
+// kernels, BMA lookahead and reversal buffers), so steady-state
+// reconstruction performs no per-cluster table allocations.
 package recon
 
 import (
@@ -535,21 +535,14 @@ func ConsensusWithConfidence(reads []dna.Seq, targetLen int) (dna.Seq, float64) 
 	return consensus, total / float64(len(kept))
 }
 
-// ReconstructAll reconstructs every cluster in parallel and returns one
-// consensus strand per cluster, in cluster order. Empty clusters yield nil.
-// workers <= 0 uses GOMAXPROCS; zero clusters and workers exceeding the
+// ReconstructAllContext reconstructs every cluster in parallel and returns
+// one consensus strand per cluster, in cluster order. Empty clusters yield
+// nil. workers <= 0 uses GOMAXPROCS; zero clusters and workers exceeding the
 // cluster count are both fine (the pool is clamped to the work available).
-func ReconstructAll(clusters [][]dna.Seq, targetLen int, algo Algorithm, workers int) []dna.Seq {
-	//dnalint:allow errflow -- background context never cancels, the only error ReconstructAllContext can return
-	out, _ := ReconstructAllContext(context.Background(), clusters, targetLen, algo, workers)
-	return out
-}
-
-// ReconstructAllContext is ReconstructAll with cooperative cancellation:
-// workers check ctx between clusters and the call returns the context's
-// error when it is cancelled. An Algorithm that panics on one cluster loses
-// only that cluster's consensus (nil, which the decoder treats as an
-// erasure); the panic never escapes the worker pool.
+// Cancellation is cooperative: workers check ctx between clusters and the
+// call returns the context's error when it is cancelled. An Algorithm that
+// panics on one cluster loses only that cluster's consensus (nil, which the
+// decoder treats as an erasure); the panic never escapes the worker pool.
 func ReconstructAllContext(ctx context.Context, clusters [][]dna.Seq, targetLen int, algo Algorithm, workers int) ([]dna.Seq, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

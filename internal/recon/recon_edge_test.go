@@ -137,8 +137,8 @@ func TestAdaptiveDispatch(t *testing.T) {
 // consensuses, never degrade them).
 func TestAdaptiveAccuracyAtNoise(t *testing.T) {
 	refs, clusters := makeClusters(43, 80, 110, 8, 0.06)
-	bma := PerfectCount(refs, ReconstructAll(clusters, 110, BMA{}, 0))
-	adaptive := PerfectCount(refs, ReconstructAll(clusters, 110, Adaptive{}, 0))
+	bma := PerfectCount(refs, reconstructAll(t, clusters, 110, BMA{}, 0))
+	adaptive := PerfectCount(refs, reconstructAll(t, clusters, 110, Adaptive{}, 0))
 	if adaptive < bma {
 		t.Fatalf("adaptive %d/80 perfect, below plain BMA %d/80", adaptive, bma)
 	}

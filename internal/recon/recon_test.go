@@ -1,6 +1,7 @@
 package recon
 
 import (
+	"context"
 	"testing"
 
 	"dnastore/internal/dna"
@@ -25,6 +26,17 @@ func makeClusters(seed uint64, numClusters, length, coverage int, rate float64) 
 }
 
 var algorithms = []Algorithm{BMA{}, DoubleSidedBMA{}, NW{}, Adaptive{}}
+
+// reconstructAll runs ReconstructAllContext on a background context and
+// fails the test on its error.
+func reconstructAll(t testing.TB, clusters [][]dna.Seq, targetLen int, algo Algorithm, workers int) []dna.Seq {
+	t.Helper()
+	out, err := ReconstructAllContext(context.Background(), clusters, targetLen, algo, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
 
 func TestCleanClusterIsIdentity(t *testing.T) {
 	rng := xrand.New(1)
@@ -96,7 +108,7 @@ func TestIndelsRealigned(t *testing.T) {
 func TestRecoveryAtModerateNoise(t *testing.T) {
 	refs, clusters := makeClusters(5, 40, 110, 10, 0.06)
 	for _, algo := range algorithms {
-		recons := ReconstructAll(clusters, 110, algo, 0)
+		recons := reconstructAll(t, clusters, 110, algo, 0)
 		perfect := PerfectCount(refs, recons)
 		if perfect < 25 {
 			t.Errorf("%s: only %d/40 perfect at 6%% error, coverage 10", algo.Name(), perfect)
@@ -108,7 +120,7 @@ func TestNWBestAtHighNoise(t *testing.T) {
 	refs, clusters := makeClusters(6, 60, 110, 10, 0.10)
 	perfect := map[string]int{}
 	for _, algo := range algorithms {
-		recons := ReconstructAll(clusters, 110, algo, 0)
+		recons := reconstructAll(t, clusters, 110, algo, 0)
 		perfect[algo.Name()] = PerfectCount(refs, recons)
 	}
 	if perfect["needleman-wunsch"] < perfect["bma"] {
@@ -119,7 +131,7 @@ func TestNWBestAtHighNoise(t *testing.T) {
 func TestBMAErrorsGrowWithIndex(t *testing.T) {
 	// §VII-A: misalignments propagate, so later indexes are less reliable.
 	refs, clusters := makeClusters(7, 150, 120, 6, 0.08)
-	recons := ReconstructAll(clusters, 120, BMA{}, 0)
+	recons := reconstructAll(t, clusters, 120, BMA{}, 0)
 	profile := ErrorProfile(refs, recons, 120)
 	head := MeanErrorRate(profile[:30])
 	tail := MeanErrorRate(profile[90:])
@@ -131,7 +143,7 @@ func TestBMAErrorsGrowWithIndex(t *testing.T) {
 func TestDoubleSidedConcentratesErrorsInMiddle(t *testing.T) {
 	// §VII-B / Fig. 6: DBMA halves propagate only to the middle.
 	refs, clusters := makeClusters(8, 150, 120, 6, 0.08)
-	recons := ReconstructAll(clusters, 120, DoubleSidedBMA{}, 0)
+	recons := reconstructAll(t, clusters, 120, DoubleSidedBMA{}, 0)
 	profile := ErrorProfile(refs, recons, 120)
 	edges := (MeanErrorRate(profile[:30]) + MeanErrorRate(profile[90:])) / 2
 	middle := MeanErrorRate(profile[45:75])
@@ -144,7 +156,7 @@ func TestNWFlatterThanBMA(t *testing.T) {
 	// Fig. 6: the NW profile has a lower peak than both BMA variants.
 	refs, clusters := makeClusters(9, 150, 120, 6, 0.08)
 	peak := func(algo Algorithm) float64 {
-		recons := ReconstructAll(clusters, 120, algo, 0)
+		recons := reconstructAll(t, clusters, 120, algo, 0)
 		profile := ErrorProfile(refs, recons, 120)
 		p := 0.0
 		for _, v := range profile {
@@ -163,7 +175,7 @@ func TestNWFlatterThanBMA(t *testing.T) {
 func TestReconstructAllOrderAndNil(t *testing.T) {
 	refs, clusters := makeClusters(10, 10, 60, 5, 0.03)
 	clusters[3] = nil
-	recons := ReconstructAll(clusters, 60, NW{}, 2)
+	recons := reconstructAll(t, clusters, 60, NW{}, 2)
 	if len(recons) != 10 {
 		t.Fatalf("got %d outputs", len(recons))
 	}
@@ -239,7 +251,7 @@ func BenchmarkBMACoverage10(b *testing.B) {
 	_, clusters := makeClusters(11, 20, 110, 10, 0.06)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ReconstructAll(clusters, 110, BMA{}, 0)
+		reconstructAll(b, clusters, 110, BMA{}, 0)
 	}
 }
 
@@ -247,7 +259,7 @@ func BenchmarkDBMACoverage10(b *testing.B) {
 	_, clusters := makeClusters(11, 20, 110, 10, 0.06)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ReconstructAll(clusters, 110, DoubleSidedBMA{}, 0)
+		reconstructAll(b, clusters, 110, DoubleSidedBMA{}, 0)
 	}
 }
 
@@ -255,7 +267,7 @@ func BenchmarkNWCoverage10(b *testing.B) {
 	_, clusters := makeClusters(11, 20, 110, 10, 0.06)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ReconstructAll(clusters, 110, NW{}, 0)
+		reconstructAll(b, clusters, 110, NW{}, 0)
 	}
 }
 
