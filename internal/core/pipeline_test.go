@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"reflect"
 	"testing"
@@ -232,3 +233,35 @@ func (firstReadReconstructor) ReconstructAll(_ context.Context, clusters [][]dna
 }
 
 func (firstReadReconstructor) Name() string { return "first-read" }
+
+func TestMinClusterSizeFiltersAllAtLowCoverage(t *testing.T) {
+	// Coverage 2 with a cluster-size floor of 3 drops every cluster. With a
+	// reconstructor that never yields a decodable consensus, attempts 0 and
+	// 1 (floors 1 and 2) run and fail; attempt 2's floor of 3 keeps no
+	// cluster and ends the retries. The run must still report an explicit
+	// failure, and the attempt count proves the floor is applied.
+	data := []byte("two reads per strand")
+	c := testCodec(t, nil)
+	p := New(c,
+		sim.Options{Channel: sim.CalibratedIID(0.01), Coverage: sim.FixedCoverage(2), Seed: 35},
+		cluster.Options{Seed: 37},
+		recon.NW{})
+	ok, err := p.Run(data, RunOptions{})
+	if err != nil || !bytes.Equal(ok.Data, data) {
+		t.Fatalf("baseline at coverage 2 failed: %v %v", ok.Report, err)
+	}
+	p.Reconstructor = garbageReconstructor{}
+	res, err := p.Run(data, RunOptions{Retries: 4})
+	if err == nil {
+		t.Fatal("dropping every cluster still decoded")
+	}
+	if !errors.Is(err, ErrRetriesExhausted) || errors.Is(err, ErrNoUsableClusters) {
+		t.Fatalf("err = %v, want ErrRetriesExhausted from the attempts that ran", err)
+	}
+	if res.Attempts != 2 {
+		t.Fatalf("attempts = %d, want 2 (the floor of 3 keeps no cluster at coverage 2)", res.Attempts)
+	}
+	if n := stageRetries(res.Stages, stageReconstruct); n != 1 {
+		t.Fatalf("reconstruct counted %d retries, want 1", n)
+	}
+}
