@@ -33,8 +33,8 @@ race:
 	$(GO) test -race ./internal/archive ./internal/core ./internal/exec ./internal/obs
 
 # The repository's own invariant analyzer (cmd/dnalint): determinism,
-# context flow, panic boundaries, error flow, seed flow, goroutine
-# lifecycle, durable writes, scratch ownership and hot-path allocations.
+# context flow, error flow, seed flow, goroutine spawn sites, durable
+# writes, scratch ownership and hot-path allocations.
 # Exits non-zero on findings (stale allow directives included); suppress
 # intentional sites with //dnalint:allow <analyzer> -- <reason>.
 lint:

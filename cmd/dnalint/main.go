@@ -102,7 +102,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	diags, err := analysis.RunModuleOptions(root, analyzers, analysis.Options{PruneDirectives: *prune})
+	diags, err := analysis.RunModule(root, analyzers, analysis.Options{PruneDirectives: *prune})
 	if err != nil {
 		// Name the failing package on its own line first: CI log scrapers and
 		// humans both want the culprit before the compiler-style error text.

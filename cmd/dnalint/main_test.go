@@ -58,7 +58,7 @@ func TestExitTwoNamesFailingPackage(t *testing.T) {
 // still signals them.
 func TestJSONFindings(t *testing.T) {
 	root := writeModule(t, map[string]string{
-		// A leaked goroutine: no join, no context — goroutineflow flags it.
+		// A goroutine started outside internal/exec — gospawn flags it.
 		"leak/leak.go": "package leak\n\nfunc work() {}\n\nfunc Spawn() {\n\tgo func() {\n\t\twork()\n\t}()\n}\n",
 	})
 	var stdout, stderr bytes.Buffer
@@ -80,8 +80,8 @@ func TestJSONFindings(t *testing.T) {
 		t.Fatalf("got %d findings, want 1: %s", len(diags), stdout.String())
 	}
 	d := diags[0]
-	if d.Analyzer != "goroutineflow" {
-		t.Errorf("analyzer = %q, want goroutineflow", d.Analyzer)
+	if d.Analyzer != "gospawn" {
+		t.Errorf("analyzer = %q, want gospawn", d.Analyzer)
 	}
 	if d.File != filepath.Join("leak", "leak.go") {
 		t.Errorf("file = %q, want module-relative leak/leak.go", d.File)
@@ -89,7 +89,7 @@ func TestJSONFindings(t *testing.T) {
 	if d.Line != 6 || d.Col != 2 {
 		t.Errorf("position = %d:%d, want 6:2", d.Line, d.Col)
 	}
-	if !strings.Contains(d.Message, "neither joined nor cancellable") {
+	if !strings.Contains(d.Message, "go statement outside internal/exec") {
 		t.Errorf("unexpected message %q", d.Message)
 	}
 }
@@ -98,7 +98,7 @@ func TestJSONFindings(t *testing.T) {
 // stale-directive pruning: a used allow survives, the run is clean.
 func TestCleanModuleExitsZero(t *testing.T) {
 	root := writeModule(t, map[string]string{
-		"ok/ok.go": "package ok\n\nfunc Spawn() {\n\tgo func() { //dnalint:allow goroutineflow -- test fixture: fire-and-forget by design\n\t}()\n}\n",
+		"ok/ok.go": "package ok\n\nfunc Spawn() {\n\tgo func() { //dnalint:allow gospawn -- test fixture: fire-and-forget by design\n\t}()\n}\n",
 	})
 	var stdout, stderr bytes.Buffer
 	code := run([]string{"-C", root, "./..."}, &stdout, &stderr)
@@ -112,7 +112,7 @@ func TestCleanModuleExitsZero(t *testing.T) {
 // the check.
 func TestPruneCheckFlagsStaleAllow(t *testing.T) {
 	files := map[string]string{
-		"ok/ok.go": "package ok\n\n//dnalint:allow goroutineflow -- nothing here spawns anything\nfunc Nothing() {}\n",
+		"ok/ok.go": "package ok\n\n//dnalint:allow gospawn -- nothing here spawns anything\nfunc Nothing() {}\n",
 	}
 	root := writeModule(t, files)
 	var stdout, stderr bytes.Buffer

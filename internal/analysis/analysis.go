@@ -1,9 +1,10 @@
 // Package analysis is a stdlib-only static-analysis framework enforcing the
 // toolkit's cross-cutting invariants: deterministic seeding, context
-// propagation, panic isolation at goroutine boundaries, error handling, and
-// explicit seed flow. The paper's central claim — that every pipeline stage
-// is swappable — only survives refactors if these invariants are machine
-// checked rather than conventions; this package is the machine.
+// propagation, goroutines started only by the executor and the binaries,
+// error handling, and explicit seed flow. The paper's central claim — that
+// every pipeline stage is swappable — only survives refactors if these
+// invariants are machine checked rather than conventions; this package is
+// the machine.
 //
 // The framework deliberately uses nothing outside the standard library
 // (go/parser, go/ast, go/types, go/importer): the analyzer must build in the
@@ -85,10 +86,9 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		Determinism,
 		CtxFlow,
-		PanicBoundary,
 		ErrFlow,
 		SeedFlow,
-		GoroutineFlow,
+		GoSpawn,
 		DurableWrite,
 		ScratchOwn,
 		HotPathAlloc,
@@ -117,12 +117,7 @@ type Options struct {
 // RunAnalyzers applies the given analyzers to one loaded package and returns
 // the surviving diagnostics: findings covered by a well-formed allow
 // directive are dropped, and malformed directives are themselves reported.
-func RunAnalyzers(pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	return RunAnalyzersOptions(pkg, analyzers, Options{})
-}
-
-// RunAnalyzersOptions is RunAnalyzers with explicit Options.
-func RunAnalyzersOptions(pkg *Package, analyzers []*Analyzer, opts Options) []Diagnostic {
+func RunAnalyzers(pkg *Package, analyzers []*Analyzer, opts Options) []Diagnostic {
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		if a.Applies != nil && !a.Applies(pkg.Path) {
@@ -150,15 +145,9 @@ func RunAnalyzersOptions(pkg *Package, analyzers []*Analyzer, opts Options) []Di
 }
 
 // RunModule loads every package of the module rooted at root and applies the
-// analyzers to each. Load or type-check failures abort with an error; clean
-// analysis returns an empty slice.
-func RunModule(root string, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return RunModuleOptions(root, analyzers, Options{})
-}
-
-// RunModuleOptions is RunModule with explicit Options. Load and type-check
-// failures are returned as a *LoadError naming the failing package.
-func RunModuleOptions(root string, analyzers []*Analyzer, opts Options) ([]Diagnostic, error) {
+// analyzers to each. Load and type-check failures abort with a *LoadError
+// naming the failing package; clean analysis returns an empty slice.
+func RunModule(root string, analyzers []*Analyzer, opts Options) ([]Diagnostic, error) {
 	loader, err := NewLoader(root)
 	if err != nil {
 		return nil, err
@@ -173,7 +162,7 @@ func RunModuleOptions(root string, analyzers []*Analyzer, opts Options) ([]Diagn
 		if err != nil {
 			return nil, &LoadError{Pkg: path, Err: err}
 		}
-		diags = append(diags, RunAnalyzersOptions(pkg, analyzers, opts)...)
+		diags = append(diags, RunAnalyzers(pkg, analyzers, opts)...)
 	}
 	sortDiagnostics(diags)
 	return diags, nil

@@ -56,6 +56,8 @@ func collectWants(t *testing.T, dir string) map[string]map[int]string {
 // places it in the analyzer's scope, runs the analyzer under test, and
 // matches the diagnostics against the `// want` markers: every marker must
 // be hit by a matching diagnostic and every diagnostic must be expected.
+// Every analyzer in All() must have a case, so none loses its golden data
+// unnoticed.
 func TestGolden(t *testing.T) {
 	cases := []struct {
 		dir      string
@@ -65,10 +67,11 @@ func TestGolden(t *testing.T) {
 	}{
 		{"determinism", "dnastore/internal/sim", "determinism", false},
 		{"ctxflow", "dnastore/lint/ctxflow", "ctxflow", false},
-		{"panicboundary", "dnastore/internal/recon", "panicboundary", false},
 		{"errflow", "dnastore/lint/errflow", "errflow", false},
 		{"seedflow", "dnastore/internal/seedflow", "seedflow", false},
-		{"goroutineflow", "dnastore/lint/goroutineflow", "goroutineflow", false},
+		// gospawn: a library package, then a main package (a spawn home).
+		{"gospawn", "dnastore/lint/gospawn", "gospawn", false},
+		{"gospawnmain", "dnastore/lint/gospawnmain", "gospawn", false},
 		{"durablewrite", "dnastore/lint/durablewrite", "durablewrite", false},
 		{"scratchown", "dnastore/lint/scratchown", "scratchown", false},
 		{"hotpathalloc", "dnastore/lint/hotpathalloc", "hotpathalloc", false},
@@ -76,6 +79,15 @@ func TestGolden(t *testing.T) {
 		// errflow provides the findings the directives act on.
 		{"directive", "dnastore/lint/directive", "errflow", false},
 		{"staledirective", "dnastore/lint/staledirective", "errflow", true},
+	}
+	covered := map[string]bool{}
+	for _, tc := range cases {
+		covered[tc.analyzer] = true
+	}
+	for _, a := range All() {
+		if !covered[a.Name] {
+			t.Errorf("analyzer %s has no golden case", a.Name)
+		}
 	}
 	root, err := FindModuleRoot(".")
 	if err != nil {
@@ -96,7 +108,7 @@ func TestGolden(t *testing.T) {
 			if a == nil {
 				t.Fatalf("unknown analyzer %q", tc.analyzer)
 			}
-			diags := RunAnalyzersOptions(pkg, []*Analyzer{a}, Options{PruneDirectives: tc.prune})
+			diags := RunAnalyzers(pkg, []*Analyzer{a}, Options{PruneDirectives: tc.prune})
 			if len(diags) == 0 {
 				t.Fatalf("golden package %s produced no findings; the analyzer must report and exit non-zero on it", tc.dir)
 			}

@@ -21,7 +21,7 @@ import (
 //     unknown goroutine;
 //   - a `go` closure capturing a scratch variable (or pointer to one)
 //     declared outside the closure — two goroutines would share one buffer.
-//     Capturing a *slice* of scratch, or an exec.Slots[S] bank, is allowed:
+//     Capturing a *slice* of scratch (or a bank wrapping one) is allowed:
 //     that is the per-worker slot pattern, where the goroutine indexes its
 //     own slot by worker id;
 //   - assigning a scratch value into a package-level variable.
@@ -102,8 +102,8 @@ func (s *scratchSet) isScratchNamed(t types.Type) bool {
 // involvesScratch reports whether t contains a scratch type anywhere in its
 // structure: behind pointers, slices, arrays, maps, channels, struct fields,
 // or generic type arguments. The last two are what let the analyzer see
-// through the executor idioms — a struct bundling per-worker state with its
-// scratch, and exec.Slots[S] instantiated with a scratch type — so sharing
+// through worker-state idioms — a struct bundling per-worker state with its
+// scratch, and a generic bank instantiated with a scratch type — so sharing
 // one of those globally or over a channel is flagged just like sharing the
 // scratch value directly.
 func (s *scratchSet) involvesScratch(t types.Type) bool {

@@ -15,7 +15,7 @@ func TestSelfCheckModuleClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := RunModuleOptions(root, All(), Options{PruneDirectives: true})
+	diags, err := RunModule(root, All(), Options{PruneDirectives: true})
 	if err != nil {
 		t.Fatalf("RunModule: %v", err)
 	}

@@ -34,29 +34,28 @@ func mutate(rng *xrand.RNG, s dna.Seq, p float64) dna.Seq {
 }
 
 // TestEditKernelParityWithSeed is the satellite property test: the
-// scratch-reusing kernels must be bit-identical to the frozen seed
-// implementations on random pairs and on the edge shapes (empty, singleton,
+// dispatching and bit-parallel edit kernels must be bit-identical to the DP
+// references (LevenshteinDP, WithinDP), and Align to the frozen seed
+// traceback, on random pairs and on the edge shapes (empty, singleton,
 // first-base divergence).
 func TestEditKernelParityWithSeed(t *testing.T) {
 	rng := xrand.New(21)
 	var s edit.Scratch
 	check := func(a, b dna.Seq, k int) {
 		t.Helper()
-		if got, want := s.Levenshtein(a, b), refLevenshtein(a, b); got != want {
-			t.Fatalf("Levenshtein(%v,%v) = %d, seed %d", a, b, got, want)
+		want := s.LevenshteinDP(a, b)
+		if got := s.Levenshtein(a, b); got != want {
+			t.Fatalf("Levenshtein(%v,%v) = %d, DP %d", a, b, got, want)
 		}
-		gd, gok := s.Within(a, b, k)
-		wd, wok := refWithin(a, b, k)
-		if gd != wd || gok != wok {
-			t.Fatalf("Within(%v,%v,%d) = (%d,%v), seed (%d,%v)", a, b, k, gd, gok, wd, wok)
+		if got := s.LevenshteinBP(a, b); got != want {
+			t.Fatalf("LevenshteinBP(%v,%v) = %d, DP %d", a, b, got, want)
 		}
-		// Bit-parallel kernels, held to the same frozen seed implementations.
-		if got, want := s.LevenshteinBP(a, b), refLevenshtein(a, b); got != want {
-			t.Fatalf("LevenshteinBP(%v,%v) = %d, seed %d", a, b, got, want)
+		wd, wok := s.WithinDP(a, b, k)
+		if gd, gok := s.Within(a, b, k); gd != wd || gok != wok {
+			t.Fatalf("Within(%v,%v,%d) = (%d,%v), DP (%d,%v)", a, b, k, gd, gok, wd, wok)
 		}
-		bd, bok := s.WithinBP(a, b, k)
-		if bd != wd || bok != wok {
-			t.Fatalf("WithinBP(%v,%v,%d) = (%d,%v), seed (%d,%v)", a, b, k, bd, bok, wd, wok)
+		if bd, bok := s.WithinBP(a, b, k); bd != wd || bok != wok {
+			t.Fatalf("WithinBP(%v,%v,%d) = (%d,%v), DP (%d,%v)", a, b, k, bd, bok, wd, wok)
 		}
 		gops, gc := s.Align(a, b)
 		wops, wc := refAlign(a, b)

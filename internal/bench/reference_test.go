@@ -1,14 +1,19 @@
 package bench
 
-// This file freezes the pre-scratch (seed) implementations of the alignment
-// kernels, verbatim in behaviour: edit distance, banded edit distance,
-// Needleman–Wunsch traceback, and the per-call-allocating POA graph. They
-// exist for two purposes and must not be "improved":
+// This file freezes the pre-scratch (seed) implementations of two alignment
+// kernels, verbatim in behaviour: Needleman–Wunsch traceback and the
+// per-call-allocating POA graph. They are the only oracles for edit.Align's
+// traceback and for the POA graph build and column trim
+// (align.Graph.SetReferenceDP swaps in a reference for the alignment kernel
+// only). They exist for two purposes and must not be "improved":
 //
 //   - the parity property tests prove the scratch-reusing kernels in
 //     internal/edit and internal/align are bit-identical to these,
 //   - TestThroughputQuick measures allocs/op of seed vs current to hold
 //     the ≥3× reduction acceptance target.
+//
+// The edit-distance kernels need no frozen copy: edit.LevenshteinDP and
+// WithinDP are their reference implementations.
 
 import (
 	"sort"
@@ -16,116 +21,6 @@ import (
 	"dnastore/internal/dna"
 	"dnastore/internal/edit"
 )
-
-// refLevenshtein is the seed edit distance (two freshly allocated rows).
-func refLevenshtein(a, b dna.Seq) int {
-	if len(a) < len(b) {
-		a, b = b, a
-	}
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(a); i++ {
-		cur[0] = i
-		ai := a[i-1]
-		for j := 1; j <= len(b); j++ {
-			cost := 1
-			if ai == b[j-1] {
-				cost = 0
-			}
-			best := prev[j-1] + cost
-			if d := prev[j] + 1; d < best {
-				best = d
-			}
-			if d := cur[j-1] + 1; d < best {
-				best = d
-			}
-			cur[j] = best
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(b)]
-}
-
-// refWithin is the seed banded (Ukkonen) threshold check. Note: no k clamp —
-// parity tests only drive it with sane k; the clamp regression test lives in
-// internal/edit.
-func refWithin(a, b dna.Seq, k int) (int, bool) {
-	if k < 0 {
-		return 0, false
-	}
-	la, lb := len(a), len(b)
-	if la-lb > k || lb-la > k {
-		return 0, false
-	}
-	if la == 0 {
-		return lb, lb <= k
-	}
-	if lb == 0 {
-		return la, la <= k
-	}
-	const inf = 1 << 30
-	width := 2*k + 1
-	prev := make([]int, width)
-	cur := make([]int, width)
-	for d := 0; d < width; d++ {
-		j := 0 - k + d
-		if j >= 0 && j <= lb {
-			prev[d] = j
-		} else {
-			prev[d] = inf
-		}
-	}
-	for i := 1; i <= la; i++ {
-		for d := 0; d < width; d++ {
-			j := i - k + d
-			if j < 0 || j > lb {
-				cur[d] = inf
-				continue
-			}
-			if j == 0 {
-				cur[d] = i
-				continue
-			}
-			cost := 1
-			if a[i-1] == b[j-1] {
-				cost = 0
-			}
-			best := inf
-			if prev[d] != inf {
-				best = prev[d] + cost
-			}
-			if d+1 < width && prev[d+1] != inf {
-				if v := prev[d+1] + 1; v < best {
-					best = v
-				}
-			}
-			if d > 0 && cur[d-1] != inf {
-				if v := cur[d-1] + 1; v < best {
-					best = v
-				}
-			}
-			cur[d] = best
-		}
-		minRow := inf
-		for _, v := range cur {
-			if v < minRow {
-				minRow = v
-			}
-		}
-		if minRow > k {
-			return 0, false
-		}
-		prev, cur = cur, prev
-	}
-	d := lb - la + k
-	if d < 0 || d >= width || prev[d] > k {
-		return 0, false
-	}
-	return prev[d], true
-}
 
 // refAlign is the seed Needleman–Wunsch with traceback (fresh [][]int table).
 func refAlign(a, b dna.Seq) ([]edit.Op, int) {

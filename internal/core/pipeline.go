@@ -233,22 +233,26 @@ type RunOptions struct {
 	// matching both ErrCancelled and context.DeadlineExceeded. 0 disables.
 	StageTimeout time.Duration
 	// Retries is the number of additional reconstruct+decode attempts after
-	// a failed or corrupt decode. Attempt i (0-based) keeps only clusters of
-	// at least i+1 reads. A consensus from one or two reads is frequently
-	// wrong, and a wrong strand costs the outer code twice what a missing
-	// strand does (an error consumes two parity symbols, an erasure one —
-	// §IV), so each retry turns the likeliest errors into erasures. A retry
-	// whose floor keeps no cluster ends the attempts (floors only rise) and
-	// the earlier attempts' outcome stands. Simulation and clustering are
-	// not re-run: retries re-interpret the same sequencing run. 0 disables
-	// retrying.
+	// a decode that is not clean (Report.Clean). Attempt i (0-based) keeps
+	// only clusters of at least i+1 reads. A consensus from one or two
+	// reads is frequently wrong, and a wrong strand costs the outer code
+	// twice what a missing strand does (an error consumes two parity
+	// symbols, an erasure one — §IV), so each retry turns the likeliest
+	// errors into erasures. The first clean attempt ends the loop;
+	// otherwise the attempt with the fewest failed codewords stands, the
+	// earliest on a tie, so retrying never returns worse data than not
+	// retrying. A retry whose floor keeps no cluster ends the attempts
+	// (floors only rise). Simulation and clustering are not re-run: retries
+	// re-interpret the same sequencing run. 0 disables retrying.
 	Retries int
-	// BestEffort salvages a partial file instead of failing: when decode
-	// still fails after all retries, Run returns every recoverable byte
-	// with Report.Partial set and Report.Units mapping the damaged regions,
-	// and a nil error. Callers must consult Result.Report before trusting
-	// the data. Only when nothing at all can be salvaged does Run still
-	// return an error.
+	// BestEffort decodes every attempt in best-effort mode
+	// (codec.DecodeOptions.BestEffort): a file whose header unit is
+	// corrupt, or a volume whose frame fails its checks, returns every
+	// recoverable byte with Report.Partial set and Report.Units mapping the
+	// damaged regions, and a nil error, instead of failing. Callers must
+	// consult Result.Report before trusting the data. Only when no attempt
+	// salvages anything does Run still return an error, with the last
+	// attempt's report.
 	BestEffort bool
 }
 
@@ -364,16 +368,17 @@ type decodeOutcome struct {
 
 // runDecodePhase is the reconstruct+decode attempt loop (see
 // RunOptions.Retries): attempt i reconstructs the clusters of at least i+1
-// reads with the pipeline's Reconstructor and decodes them, re-interpreting
-// the same clustering. Reconstruct and Decode busy times, item counts and
-// retry counters accumulate into reg across attempts.
+// reads with the pipeline's Reconstructor and decodes them once, in the
+// run's own mode (best effort or strict), re-interpreting the same
+// clustering. The first clean decode ends the loop; otherwise the attempt
+// with the fewest failed codewords stands, the earliest on a tie. Reconstruct
+// and Decode busy times, item counts and retry counters accumulate into reg
+// across attempts.
 func (p *Pipeline) runDecodePhase(ctx context.Context, job decodeJob, opts RunOptions, seqs []dna.Seq, clusters [][]int, reg *obs.Registry) (decodeOutcome, error) {
 	recSt := reg.Stage(stageReconstruct)
 	decSt := reg.Stage(stageDecode)
 	var out decodeOutcome
-	var firstRecons []dna.Seq
 	var lastErr error
-	var err error
 	bestFailed := -1 // fewest failed codewords among data-producing attempts
 	for attempt := 0; attempt <= opts.Retries; attempt++ {
 		floor := attempt + 1
@@ -397,7 +402,7 @@ func (p *Pipeline) runDecodePhase(ctx context.Context, job decodeJob, opts RunOp
 		}
 		recSt.AddIn(int64(len(clusterSeqs)))
 		var recons []dna.Seq
-		err = runStage(ctx, stageReconstruct, recSt, opts.StageTimeout, func(ctx context.Context) error {
+		err := runStage(ctx, stageReconstruct, recSt, opts.StageTimeout, func(ctx context.Context) error {
 			var rerr error
 			recons, rerr = p.Reconstructor.ReconstructAll(ctx, clusterSeqs, job.targetLen)
 			return rerr
@@ -406,70 +411,45 @@ func (p *Pipeline) runDecodePhase(ctx context.Context, job decodeJob, opts RunOp
 			return out, err // cancellation or stage panic aborts the run
 		}
 		recSt.AddOut(int64(len(recons)))
-		if attempt == 0 {
-			firstRecons = recons
-		}
 
 		decSt.AddIn(int64(len(recons)))
 		var data []byte
 		var report codec.Report
 		err = runStage(ctx, stageDecode, decSt, opts.StageTimeout, func(ctx context.Context) error {
 			var derr error
-			data, report, derr = job.decode(ctx, recons, codec.DecodeOptions{})
+			data, report, derr = job.decode(ctx, recons, codec.DecodeOptions{BestEffort: opts.BestEffort})
 			return derr
 		})
-		if err == nil {
-			decSt.AddOut(int64(len(data)))
-		}
-		if err == nil && report.FailedCodewords == 0 {
-			// Fully recovered (modulo repaired damage): done.
-			out.Data, out.Report = data, report
-			return out, nil
-		}
-		if err != nil && isAbort(err) {
-			return out, err
-		}
-		if err == nil && (bestFailed < 0 || report.FailedCodewords < bestFailed) {
-			// Data came back but some codewords are beyond repair; keep the
-			// least-damaged attempt in case no retry does better.
-			bestFailed = report.FailedCodewords
-			out.Data, out.Report = data, report
-		}
 		if err != nil {
+			if isAbort(err) {
+				return out, err
+			}
 			// The decoder populates its report even on failure; keep the
 			// last one so a failed run still explains what it saw.
 			if bestFailed < 0 {
 				out.Report = report
 			}
 			lastErr = err
+			continue
+		}
+		decSt.AddOut(int64(len(data)))
+		if report.Clean() {
+			// Fully recovered (modulo repaired damage): done.
+			out.Data, out.Report = data, report
+			return out, nil
+		}
+		if bestFailed < 0 || report.FailedCodewords < bestFailed {
+			// Data came back but some of it is unverified; keep the
+			// least-damaged attempt in case no retry does better.
+			bestFailed = report.FailedCodewords
+			out.Data, out.Report = data, report
 		}
 	}
 
 	if bestFailed >= 0 {
-		// Legacy best-effort-by-default behaviour: data with failed
-		// codewords is returned without an error; Report flags the damage.
+		// Damaged data is returned without an error; Report flags the
+		// damage.
 		return out, nil
-	}
-	if opts.BestEffort {
-		// Every attempt failed outright: salvage whatever the first
-		// (least filtered) reconstruction allows, with the damage map.
-		decSt.AddIn(int64(len(firstRecons)))
-		var data []byte
-		var report codec.Report
-		err = runStage(ctx, stageDecode, decSt, opts.StageTimeout, func(ctx context.Context) error {
-			var derr error
-			data, report, derr = job.decode(ctx, firstRecons, codec.DecodeOptions{BestEffort: true})
-			return derr
-		})
-		if err == nil {
-			decSt.AddOut(int64(len(data)))
-			out.Data, out.Report = data, report
-			return out, nil
-		}
-		if isAbort(err) {
-			return out, err
-		}
-		lastErr = err
 	}
 	if opts.Retries > 0 {
 		return out, retriesExhaustedErr(out.Attempts, lastErr)

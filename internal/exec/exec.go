@@ -1,15 +1,14 @@
 // Package exec is the shared execution layer for every parallel stage in
-// the pipeline: an indexed parallel-for with worker IDs, per-worker scratch
-// slots that satisfy the dnalint scratchown ownership rules, ticket
-// semaphores for bounded channel pipelines, and a spawn-join group with
-// panic capture. All concurrency in sim, cluster, recon, core, and archive
-// runs through this package, so the determinism guarantee — output depends
-// only on (options, seed, volume id, bytes), never on scheduling — is
-// enforced in one place.
+// the pipeline: an indexed parallel-for with worker IDs, ticket semaphores
+// for bounded channel pipelines, and a spawn-join group with panic capture.
+// It is the one library package that starts goroutines (dnalint gospawn),
+// so all concurrency in sim, cluster, recon, core, and archive runs through
+// it, and the determinism guarantee — output depends only on (options,
+// seed, volume id, bytes), never on scheduling — is enforced in one place.
 //
 // Ownership rules (checked by dnalint scratchown):
 //
-//   - Scratch is owned per worker: allocate one slot per worker ID and
+//   - Scratch is owned per worker: allocate a make([]T, workers) slice and
 //     index it with the worker argument of ParallelForW / Group.GoN. For
 //     one worker ID, fn(w, ·) calls never overlap, so slot w is
 //     effectively goroutine-local without locks.
@@ -100,29 +99,6 @@ func parallelForWSpawn(ctx context.Context, workers, n int, fn func(worker, i in
 	}
 	wg.Wait()
 }
-
-// Slots is a fixed bank of per-worker scratch values, one per worker ID.
-// It is the sanctioned way to share mutable scratch across a ParallelForW
-// or Group.GoN stage: each worker touches only its own slot, so no locking
-// is needed and results cannot depend on scheduling.
-type Slots[T any] struct {
-	s []T
-}
-
-// NewSlots allocates a bank with one zero-valued slot per worker.
-func NewSlots[T any](workers int) *Slots[T] {
-	if workers < 1 {
-		workers = 1
-	}
-	return &Slots[T]{s: make([]T, workers)}
-}
-
-// Get returns worker w's slot. The pointer is stable for the life of the
-// bank; it must only be used from calls carrying the same worker ID.
-func (sl *Slots[T]) Get(w int) *T { return &sl.s[w] }
-
-// Len reports the number of slots.
-func (sl *Slots[T]) Len() int { return len(sl.s) }
 
 // Tickets is a counting semaphore bounding how many items are in flight
 // through a channel pipeline. Acquire blocks until a ticket or
