@@ -43,13 +43,14 @@ lint:
 # Short native-fuzzing pass over the codec pipeline's fuzz targets
 # (30 s each); CI runs this as a smoke test, local fuzzing can go longer
 # with e.g. `go test ./internal/rs -fuzz FuzzRSDecode -fuzztime 10m`.
-# FuzzDecodeVolume's inputs are read sets of kilobytes, so minimizing each
-# new input is capped at 100 runs; uncapped, minimizing takes most of the
-# 30 s.
+# FuzzDecodeFile's and FuzzDecodeVolume's inputs run a whole file or volume
+# decode (a read set of kilobytes for FuzzDecodeVolume), so minimizing each
+# new input is capped at 100 runs; uncapped, minimizing stalls the exec
+# count for most of the 30 s.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test ./internal/rs -run '^$$' -fuzz '^FuzzRSDecode$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/codec -run '^$$' -fuzz '^FuzzDecodeFile$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/codec -run '^$$' -fuzz '^FuzzDecodeFile$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
 	$(GO) test ./internal/codec -run '^$$' -fuzz '^FuzzManifestDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fastq -run '^$$' -fuzz '^FuzzFastqParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/edit -run '^$$' -fuzz '^FuzzLevenshtein$$' -fuzztime $(FUZZTIME)

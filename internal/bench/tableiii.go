@@ -114,11 +114,12 @@ func QuickTableIII() TableIIIConfig {
 
 // TableIIIRow is one pipeline configuration's latency breakdown.
 type TableIIIRow struct {
-	Coverage  int
-	Mode      cluster.SignatureMode
-	Algorithm string
-	Stages    []obs.StageSnapshot // the run's core.Result.Stages
-	Recovered bool
+	Coverage     int
+	Mode         cluster.SignatureMode
+	Algorithm    string
+	Stages       []obs.StageSnapshot // the run's core.Result.Stages
+	ClusterStats cluster.Stats       // the run's clustering work
+	Recovered    bool
 }
 
 // Busy returns the busy time the row's run spent in the named stage, or in
@@ -178,11 +179,12 @@ func TableIII(cfg TableIIIConfig) (TableIIIResult, error) {
 					return res, fmt.Errorf("pipeline %s cov %d: %w", algo.Name(), coverage, err)
 				}
 				res.Rows = append(res.Rows, TableIIIRow{
-					Coverage:  coverage,
-					Mode:      mode,
-					Algorithm: algo.Name(),
-					Stages:    out.Stages,
-					Recovered: out.Report.Clean() && string(out.Data) == string(data),
+					Coverage:     coverage,
+					Mode:         mode,
+					Algorithm:    algo.Name(),
+					Stages:       out.Stages,
+					ClusterStats: out.ClusterStats,
+					Recovered:    out.Report.Clean() && string(out.Data) == string(data),
 				})
 			}
 		}

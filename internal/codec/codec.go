@@ -47,6 +47,8 @@ type BaselineLayout struct{}
 func (BaselineLayout) Name() string { return "baseline" }
 
 // Cell implements Layout: symbol j of codeword i lives at column j, row i.
+//
+//dnalint:hotpath -- called for every symbol of every codeword
 func (BaselineLayout) Cell(codeword, symbol, rows int) (col, row int) {
 	return symbol, codeword
 }
@@ -60,6 +62,8 @@ type GiniLayout struct{}
 func (GiniLayout) Name() string { return "gini" }
 
 // Cell implements Layout.
+//
+//dnalint:hotpath -- called for every symbol of every codeword
 func (GiniLayout) Cell(codeword, symbol, rows int) (col, row int) {
 	return symbol, (codeword + symbol) % rows
 }

@@ -62,13 +62,12 @@ func (c *Codec) decodeUnit(columns [][]byte, dmg *UnitDamage, rep *Report) ([]by
 		}
 	}
 	codeword := make([]byte, c.p.N)
-	isErased := make([]bool, c.p.N)
+	erasures := make([]int, 0, c.p.N)
 	unitData := make([]byte, c.p.K*rows)
 	for cw := 0; cw < rows; cw++ {
-		var erasures []int
+		erasures = erasures[:0]
 		for j := 0; j < c.p.N; j++ {
 			col, row := c.p.Layout.Cell(cw, j, rows)
-			isErased[j] = erased[col]
 			if erased[col] {
 				codeword[j] = 0
 				erasures = append(erasures, j)
@@ -76,7 +75,7 @@ func (c *Codec) decodeUnit(columns [][]byte, dmg *UnitDamage, rep *Report) ([]by
 				codeword[j] = columns[col][row]
 			}
 		}
-		data, err := c.code.Decode(codeword, erasures)
+		data, corrected, err := c.code.Decode(codeword, erasures)
 		if err != nil {
 			rep.FailedCodewords++
 			dmg.FailedCodewords++
@@ -85,16 +84,8 @@ func (c *Codec) decodeUnit(columns [][]byte, dmg *UnitDamage, rep *Report) ([]by
 			// corruption-tolerant data).
 			data = codeword[:c.p.K]
 		} else {
-			// Count how many non-erased symbols the decoder corrected.
-			full, encErr := c.code.Encode(data)
-			if encErr == nil {
-				for j := range full {
-					if !isErased[j] && full[j] != codeword[j] {
-						rep.CorrectedSymbols++
-					}
-				}
-				rep.ErasedSymbols += len(erasures)
-			}
+			rep.CorrectedSymbols += corrected
+			rep.ErasedSymbols += len(erasures)
 		}
 		for j := 0; j < c.p.K; j++ {
 			col, row := c.p.Layout.Cell(cw, j, rows)

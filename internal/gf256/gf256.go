@@ -11,8 +11,9 @@ const Order = 256
 const poly = 0x1d
 
 var (
-	expTable [510]byte // exp[i] = α^i, doubled so Mul can skip a mod
-	logTable [256]byte // log[x] = i such that α^i = x; log[0] unused
+	expTable [510]byte      // exp[i] = α^i, doubled so Div can skip a mod
+	logTable [256]byte      // log[x] = i such that α^i = x; log[0] unused
+	mulTable [256][256]byte // mulTable[a][b] = a·b, 64 KiB
 )
 
 func init() {
@@ -27,6 +28,12 @@ func init() {
 			x ^= poly
 		}
 	}
+	// Row and column 0 stay zero: 0·b = a·0 = 0.
+	for a := 1; a < Order; a++ {
+		for b := 1; b < Order; b++ {
+			mulTable[a][b] = expTable[int(logTable[a])+int(logTable[b])]
+		}
+	}
 }
 
 // Add returns a+b in GF(2^8). Addition and subtraction are both XOR.
@@ -35,13 +42,14 @@ func Add(a, b byte) byte { return a ^ b }
 // Sub returns a-b in GF(2^8) (identical to Add).
 func Sub(a, b byte) byte { return a ^ b }
 
-// Mul returns a*b in GF(2^8).
-func Mul(a, b byte) byte {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	return expTable[int(logTable[a])+int(logTable[b])]
-}
+// Mul returns a*b in GF(2^8): one lookup in the product table.
+func Mul(a, b byte) byte { return mulTable[a][b] }
+
+// MulRow returns the products of c with every field element: row[y] = c·y.
+// A loop that multiplies many symbols by one constant, such as a
+// Reed–Solomon syndrome or parity step, indexes this row instead of
+// calling Mul.
+func MulRow(c byte) [Order]byte { return mulTable[c] }
 
 // Div returns a/b in GF(2^8). It panics if b is zero.
 func Div(a, b byte) byte {

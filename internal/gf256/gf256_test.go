@@ -43,6 +43,30 @@ func TestDistributive(t *testing.T) {
 	}
 }
 
+// refMul is the log/antilog product the table replaced, kept as its
+// oracle.
+func refMul(a, b byte) byte {
+	if a == 0 || b == 0 {
+		return 0
+	}
+	return expTable[int(logTable[a])+int(logTable[b])]
+}
+
+func TestMulTableMatchesLogProduct(t *testing.T) {
+	for a := 0; a < Order; a++ {
+		row := MulRow(byte(a))
+		for b := 0; b < Order; b++ {
+			want := refMul(byte(a), byte(b))
+			if got := Mul(byte(a), byte(b)); got != want {
+				t.Fatalf("Mul(%#x, %#x) = %#x, want %#x", a, b, got, want)
+			}
+			if row[b] != want {
+				t.Fatalf("MulRow(%#x)[%#x] = %#x, want %#x", a, b, row[b], want)
+			}
+		}
+	}
+}
+
 func TestKnownProduct(t *testing.T) {
 	// For polynomial 0x11d: 2·0x80 = 0x100 mod 0x11d = 0x1d.
 	if got := Mul(2, 0x80); got != 0x1d {

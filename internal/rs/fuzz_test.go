@@ -4,20 +4,47 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"dnastore/internal/xrand"
 )
 
-// FuzzRSDecode drives Decode with fuzzer-chosen geometry, payloads and
-// corruption. Three invariants must hold for every input:
+// reencodeCount is the oracle for Decode's correction count: the number of
+// non-erased positions at which received differs from the codeword of data.
+// A decode that succeeded returns exactly this count.
+func reencodeCount(t *testing.T, c *Code, data, received []byte, erasures []int) int {
+	t.Helper()
+	full, err := c.Encode(data)
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	erased := make([]bool, len(full))
+	for _, e := range erasures {
+		erased[e] = true
+	}
+	n := 0
+	for j := range full {
+		if !erased[j] && full[j] != received[j] {
+			n++
+		}
+	}
+	return n
+}
+
+// FuzzRSDecode drives Decode with fuzzer-chosen geometry, payloads,
+// corruption and erasures. Four invariants must hold for every input:
 //
 //  1. Decode never panics, whatever the codeword bytes are;
-//  2. a codeword corrupted within the code's correction capability
-//     ((n-k)/2 errors) round-trips to the original data;
-//  3. structurally malformed inputs fail with ErrShape, not a crash.
+//  2. a codeword with f erasures and e errors, 2e+f <= n-k, round-trips to
+//     the original data;
+//  3. every successful decode returns as its correction count the number
+//     of non-erased positions where the received word differs from the
+//     codeword of the returned data;
+//  4. structurally malformed inputs fail with ErrShape, not a crash.
 func FuzzRSDecode(f *testing.F) {
-	f.Add([]byte("hello world"), byte(12), byte(8), byte(0))
-	f.Add([]byte{}, byte(255), byte(1), byte(7))
-	f.Add([]byte{0xff, 0x00, 0xa5}, byte(6), byte(2), byte(3))
-	f.Fuzz(func(t *testing.T, data []byte, nb, kb, mut byte) {
+	f.Add([]byte("hello world"), byte(12), byte(8), byte(0), byte(0))
+	f.Add([]byte{}, byte(255), byte(1), byte(7), byte(3))
+	f.Add([]byte{0xff, 0x00, 0xa5}, byte(6), byte(2), byte(3), byte(200))
+	f.Fuzz(func(t *testing.T, data []byte, nb, kb, mut, era byte) {
 		n := 2 + int(nb)%254   // 2..255
 		k := 1 + int(kb)%(n-1) // 1..n-1
 		code, err := New(n, k)
@@ -32,43 +59,61 @@ func FuzzRSDecode(f *testing.F) {
 			t.Fatalf("Encode: %v", err)
 		}
 
-		// Corrupt up to (n-k)/2 symbols at pseudo-random positions derived
-		// from the fuzz input; decoding must still recover the payload.
-		maxErr := (n - k) / 2
+		// era picks how many of the n-k parity symbols go to erasures; the
+		// rest of the capability goes to as many errors as fit. Positions
+		// come from a permutation seeded by the fuzz input. An erased
+		// symbol is XORed with mut, which may be 0 (a zero magnitude); an
+		// error is never a zero XOR.
+		nsym := n - k
+		numErased := int(era) % (nsym + 1)
+		numErrors := (nsym - numErased) / 2
+		perm := xrand.New(uint64(mut)<<8 | uint64(era)).Perm(n)
+		erasures := perm[:numErased]
 		corrupted := append([]byte(nil), cw...)
-		pos := int(mut)
-		for e := 0; e < maxErr; e++ {
-			pos = (pos*31 + e + int(mut)) % n
-			corrupted[pos] ^= mut | 1 // never a zero XOR: a real corruption
+		for _, p := range erasures {
+			corrupted[p] ^= mut
 		}
-		got, err := code.Decode(corrupted, nil)
+		for _, p := range perm[numErased : numErased+numErrors] {
+			corrupted[p] ^= mut | 1
+		}
+		got, corrected, err := code.Decode(corrupted, erasures)
 		if err != nil {
-			t.Fatalf("Decode failed within capability (n=%d k=%d, %d errors): %v", n, k, maxErr, err)
+			t.Fatalf("Decode failed within capability (n=%d k=%d, %d erasures, %d errors): %v", n, k, numErased, numErrors, err)
 		}
 		if !bytes.Equal(got, payload) {
 			t.Fatalf("round-trip mismatch (n=%d k=%d): got %x want %x", n, k, got, payload)
 		}
+		if corrected != numErrors || corrected != reencodeCount(t, code, got, corrupted, erasures) {
+			t.Fatalf("Decode corrected %d symbols (n=%d k=%d), want %d errors", corrected, n, k, numErrors)
+		}
 
 		// Arbitrary bytes of codeword length must never panic — any outcome
-		// (data, ErrTooManyErrors) is acceptable, a crash is not.
+		// (data, ErrTooManyErrors) is acceptable, a crash is not — and a
+		// decode that succeeds must count what it changed.
 		garbage := make([]byte, n)
 		copy(garbage, data)
-		if _, err := code.Decode(garbage, nil); err != nil && !errors.Is(err, ErrTooManyErrors) {
+		got, corrected, err = code.Decode(garbage, erasures)
+		switch {
+		case err == nil:
+			if want := reencodeCount(t, code, got, garbage, erasures); corrected != want {
+				t.Fatalf("Decode(garbage) corrected %d symbols, re-encode differs at %d", corrected, want)
+			}
+		case !errors.Is(err, ErrTooManyErrors):
 			t.Fatalf("Decode(garbage) returned unexpected error class: %v", err)
 		}
 
 		// Shape violations are typed, never panics or index faults.
-		if _, err := code.Decode(nil, nil); !errors.Is(err, ErrShape) {
+		if _, _, err := code.Decode(nil, nil); !errors.Is(err, ErrShape) {
 			t.Fatalf("Decode(nil) = %v, want ErrShape", err)
 		}
-		if _, err := code.Decode(cw[:len(cw)-1], nil); !errors.Is(err, ErrShape) {
+		if _, _, err := code.Decode(cw[:len(cw)-1], nil); !errors.Is(err, ErrShape) {
 			t.Fatalf("Decode(short) = %v, want ErrShape", err)
 		}
-		if _, err := code.Decode(cw, []int{n}); !errors.Is(err, ErrShape) {
+		if _, _, err := code.Decode(cw, []int{n}); !errors.Is(err, ErrShape) {
 			t.Fatalf("Decode(erasure out of range) = %v, want ErrShape", err)
 		}
 		if n-k >= 2 {
-			if _, err := code.Decode(cw, []int{0, 0}); !errors.Is(err, ErrShape) {
+			if _, _, err := code.Decode(cw, []int{0, 0}); !errors.Is(err, ErrShape) {
 				t.Fatalf("Decode(duplicate erasure) = %v, want ErrShape", err)
 			}
 		}

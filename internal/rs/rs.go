@@ -19,9 +19,15 @@ import (
 
 // Code is a Reed–Solomon code with fixed parameters. It is safe for
 // concurrent use: encoding and decoding do not mutate the Code.
+//
+// Both per-codeword loops multiply by constants of the code, so the Code
+// keeps their product rows (gf256.MulRow) and each product is one lookup:
+// genRows[j][y] = g_{j+1}·y for the generator's non-leading coefficients,
+// syndRows[j][y] = α^j·y for the syndrome roots.
 type Code struct {
-	n, k  int
-	genBE []byte // generator polynomial, big-endian (monic, genBE[0] = 1)
+	n, k     int
+	genRows  [][gf256.Order]byte
+	syndRows [][gf256.Order]byte
 }
 
 // ErrTooManyErrors is returned when a codeword is corrupted beyond the
@@ -48,11 +54,14 @@ func New(n, k int) (*Code, error) {
 	for j := 0; j < nsym; j++ {
 		gen = gf256.MulPoly(gen, gf256.Poly{gf256.Exp(j), 1})
 	}
-	genBE := make([]byte, len(gen))
-	for i, c := range gen {
-		genBE[len(gen)-1-i] = c
+	// gen is monic of degree nsym; big-endian, its coefficients after the
+	// leading 1 are gen[nsym-1], ..., gen[0].
+	c := &Code{n: n, k: k, genRows: make([][gf256.Order]byte, nsym), syndRows: make([][gf256.Order]byte, nsym)}
+	for j := range c.genRows {
+		c.genRows[j] = gf256.MulRow(gen[nsym-1-j])
+		c.syndRows[j] = gf256.MulRow(gf256.Exp(j))
 	}
-	return &Code{n: n, k: k, genBE: genBE}, nil
+	return c, nil
 }
 
 // N returns the codeword length in symbols.
@@ -79,62 +88,81 @@ func (c *Code) Encode(data []byte) ([]byte, error) {
 		if coef == 0 {
 			continue
 		}
-		for j := 1; j < len(c.genBE); j++ {
-			out[i+j] ^= gf256.Mul(c.genBE[j], coef)
+		tail := out[i+1 : i+1+len(c.genRows)]
+		for j := range tail {
+			tail[j] ^= c.genRows[j][coef]
 		}
 	}
 	copy(out, data) // the division clobbered the data prefix; restore it
 	return out, nil
 }
 
-// syndromes returns S_j = R(α^j) for j = 0..nsym-1 and whether all are zero.
-func (c *Code) syndromes(cw []byte) ([]byte, bool) {
-	nsym := c.n - c.k
-	synd := make([]byte, nsym)
-	clean := true
-	for j := 0; j < nsym; j++ {
-		x := gf256.Exp(j)
+// syndromes writes S_j = R(α^j) for j = 0..nsym-1 into synd, which must
+// hold nsym symbols, and reports whether all are zero. Horner's step
+// y·α^j ⊕ v reads y·α^j from the root's product row.
+//
+//dnalint:hotpath -- runs on every received codeword, clean ones included
+func (c *Code) syndromes(cw, synd []byte) bool {
+	synd = synd[:len(c.syndRows)]
+	var or byte
+	j := 0
+	// Four roots per pass over the word: each Horner chain waits on its
+	// own lookups, so four independent chains keep the loads in flight.
+	for ; j+4 <= len(synd); j += 4 {
+		r0, r1, r2, r3 := &c.syndRows[j], &c.syndRows[j+1], &c.syndRows[j+2], &c.syndRows[j+3]
+		var y0, y1, y2, y3 byte
+		for _, v := range cw {
+			y0 = r0[y0] ^ v
+			y1 = r1[y1] ^ v
+			y2 = r2[y2] ^ v
+			y3 = r3[y3] ^ v
+		}
+		synd[j], synd[j+1], synd[j+2], synd[j+3] = y0, y1, y2, y3
+		or |= y0 | y1 | y2 | y3
+	}
+	for ; j < len(synd); j++ {
+		row := &c.syndRows[j]
 		var y byte
 		for _, v := range cw {
-			y = gf256.Mul(y, x) ^ v
+			y = row[y] ^ v
 		}
 		synd[j] = y
-		if y != 0 {
-			clean = false
-		}
+		or |= y
 	}
-	return synd, clean
+	return or == 0
 }
 
 // Decode corrects a received codeword in a copy and returns the data
-// symbols. erasures lists known-bad codeword indices (0-based); it may be
-// nil. Decode returns ErrTooManyErrors when correction is impossible or the
-// corrected word fails re-validation.
-func (c *Code) Decode(codeword []byte, erasures []int) ([]byte, error) {
+// symbols and the number of symbols it corrected: positions outside
+// erasures whose value it changed. erasures lists known-bad codeword
+// indices (0-based); it may be nil. Decode returns ErrTooManyErrors when
+// correction is impossible or the corrected word fails re-validation.
+func (c *Code) Decode(codeword []byte, erasures []int) ([]byte, int, error) {
 	if len(codeword) != c.n {
-		return nil, fmt.Errorf("rs: Decode needs %d symbols, got %d: %w", c.n, len(codeword), ErrShape)
+		return nil, 0, fmt.Errorf("rs: Decode needs %d symbols, got %d: %w", c.n, len(codeword), ErrShape)
 	}
 	nsym := c.n - c.k
 	if len(erasures) > nsym {
-		return nil, ErrTooManyErrors
+		return nil, 0, ErrTooManyErrors
 	}
-	var seen [256]bool
+	var erased [256]bool
 	for _, e := range erasures {
 		if e < 0 || e >= c.n {
-			return nil, fmt.Errorf("rs: erasure index %d out of range [0,%d): %w", e, c.n, ErrShape)
+			return nil, 0, fmt.Errorf("rs: erasure index %d out of range [0,%d): %w", e, c.n, ErrShape)
 		}
-		if seen[e] {
+		if erased[e] {
 			// A duplicated erasure would put a repeated root in the erasure
 			// locator and silently waste correction capability.
-			return nil, fmt.Errorf("rs: duplicate erasure index %d: %w", e, ErrShape)
+			return nil, 0, fmt.Errorf("rs: duplicate erasure index %d: %w", e, ErrShape)
 		}
-		seen[e] = true
+		erased[e] = true
 	}
 
 	cw := append([]byte(nil), codeword...)
-	synd, clean := c.syndromes(cw)
-	if clean {
-		return cw[:c.k], nil
+	var buf [255]byte
+	synd := buf[:nsym]
+	if c.syndromes(cw, synd) {
+		return cw[:c.k], 0, nil
 	}
 
 	// Erasure locator Λ_e(x) = Π (1 - X x) with X = α^(n-1-i).
@@ -157,11 +185,11 @@ func (c *Code) Decode(codeword []byte, erasures []int) ([]byte, error) {
 
 	errLoc, err := berlekampMassey(fsynd)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	numErrors := errLoc.Degree()
 	if 2*numErrors > len(fsynd) {
-		return nil, ErrTooManyErrors
+		return nil, 0, ErrTooManyErrors
 	}
 
 	// Combined errata locator and its roots (Chien search over positions).
@@ -174,31 +202,38 @@ func (c *Code) Decode(codeword []byte, erasures []int) ([]byte, error) {
 		}
 	}
 	if len(positions) != loc.Degree() {
-		return nil, ErrTooManyErrors
+		return nil, 0, ErrTooManyErrors
 	}
 
 	// Forney algorithm: Ω(x) = S(x)·Λ(x) mod x^nsym, then for each errata
-	// position with X = α^p the magnitude is Y = X·Ω(X⁻¹)/Λ'(X⁻¹).
+	// position with X = α^p the magnitude is Y = X·Ω(X⁻¹)/Λ'(X⁻¹). The
+	// corrected word differs from the received one exactly where a non-zero
+	// magnitude is XORed in, so those outside the erasures are the
+	// corrections.
 	omega := gf256.MulPoly(gf256.Poly(synd), loc)
 	if len(omega) > nsym {
 		omega = omega[:nsym]
 	}
 	deriv := loc.Deriv()
+	corrected := 0
 	for _, i := range positions {
 		p := c.n - 1 - i
 		xInv := gf256.Exp(-p)
 		den := deriv.Eval(xInv)
 		if den == 0 {
-			return nil, ErrTooManyErrors
+			return nil, 0, ErrTooManyErrors
 		}
 		y := gf256.Div(gf256.Mul(gf256.Exp(p), omega.Eval(xInv)), den)
+		if y != 0 && !erased[i] {
+			corrected++
+		}
 		cw[i] ^= y
 	}
 
-	if _, ok := c.syndromes(cw); !ok {
-		return nil, ErrTooManyErrors
+	if !c.syndromes(cw, synd) {
+		return nil, 0, ErrTooManyErrors
 	}
-	return cw[:c.k], nil
+	return cw[:c.k], corrected, nil
 }
 
 // berlekampMassey finds the minimal error-locator polynomial for the given

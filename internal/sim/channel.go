@@ -63,26 +63,49 @@ func (c IIDChannel) Name() string { return "rashtchian-iid" }
 // TotalRate returns the summed per-index error probability.
 func (c IIDChannel) TotalRate() float64 { return c.PIns + c.PDel + c.PSub }
 
-// Transmit implements Channel.
+// Transmit implements Channel. It makes exactly the draws of the float
+// form — rng.Bool(PIns) (and rng.Intn(4) when it holds) before every base
+// and once after the last, rng.Float64() per base compared with PDel and
+// PDel+PSub, rng.Intn(3) per substitution — but steps a local copy of the
+// generator and compares integer thresholds (xrand.Threshold), storing the
+// state back once. Bool's cases without a draw are kept: PIns <= 0 never
+// inserts and PIns >= 1 always does.
 func (c IIDChannel) Transmit(rng *xrand.RNG, strand dna.Seq) dna.Seq {
+	// Without a draw the threshold decides: 0 for PIns <= 0, 2⁵³ for
+	// PIns >= 1. NaN draws, against a threshold of 0.
+	insT := xrand.Threshold(c.PIns)
+	insDraw := !(c.PIns <= 0) && !(c.PIns >= 1)
+	delT := xrand.Threshold(c.PDel)
+	subT := xrand.Threshold(c.PDel + c.PSub)
+	r := *rng
+	var x uint64
 	out := make(dna.Seq, 0, len(strand)+4)
-	for _, b := range strand {
-		if rng.Bool(c.PIns) {
-			out = append(out, dna.Base(rng.Intn(4)))
+	for i := 0; ; i++ {
+		ins := insT != 0
+		if insDraw {
+			x, r = r.Next()
+			ins = x>>11 < insT
 		}
-		u := rng.Float64()
-		switch {
-		case u < c.PDel:
+		if ins {
+			x, r = r.Next()
+			out = append(out, dna.Base(x%4))
+		}
+		if i == len(strand) {
+			break
+		}
+		b := strand[i]
+		x, r = r.Next()
+		switch u := x >> 11; {
+		case u < delT:
 			// deleted
-		case u < c.PDel+c.PSub:
-			out = append(out, substitute(rng, b))
+		case u < subT:
+			x, r = r.Next()
+			out = append(out, (b+1+dna.Base(x%3))%4)
 		default:
 			out = append(out, b)
 		}
 	}
-	if rng.Bool(c.PIns) {
-		out = append(out, dna.Base(rng.Intn(4)))
-	}
+	*rng = r
 	return out
 }
 

@@ -424,6 +424,19 @@ func BenchmarkIIDTransmit(b *testing.B) {
 	}
 }
 
+// BenchmarkIIDTransmitStream is the stream workload's channel: 492-nt
+// strands at 0.1 % aggregate error, where nearly every base is copied.
+func BenchmarkIIDTransmitStream(b *testing.B) {
+	ch := CalibratedIID(0.001)
+	rng := xrand.New(1)
+	s := dna.Random(rng, 492)
+	b.SetBytes(492)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ch.Transmit(rng, s)
+	}
+}
+
 func BenchmarkReferenceWetlabTransmit(b *testing.B) {
 	ch := NewReferenceWetlab()
 	rng := xrand.New(1)

@@ -8,12 +8,19 @@
 // which is the standard, well-distributed way to expand a single word seed.
 package xrand
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a deterministic random number generator (xoshiro256**).
 // The zero value is not usable; construct with New.
+//
+// The state is four named words rather than an array so that a copy of an
+// RNG is SSA-able: a loop that steps a local copy with Next keeps all four
+// words in registers.
 type RNG struct {
-	s [4]uint64
+	s0, s1, s2, s3 uint64
 }
 
 // splitmix64 advances x and returns the next splitmix64 output.
@@ -38,12 +45,13 @@ func New(seed uint64) *RNG {
 // generator per item can hold one RNG and reseed it; the resulting stream
 // is bit-identical to New's.
 func (r *RNG) Reseed(seed uint64) {
-	for i := range r.s {
-		r.s[i] = splitmix64(&seed)
-	}
+	r.s0 = splitmix64(&seed)
+	r.s1 = splitmix64(&seed)
+	r.s2 = splitmix64(&seed)
+	r.s3 = splitmix64(&seed)
 	// xoshiro must not be seeded with the all-zero state.
-	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
-		r.s[0] = 0x9e3779b97f4a7c15
+	if r.s0|r.s1|r.s2|r.s3 == 0 {
+		r.s0 = 0x9e3779b97f4a7c15
 	}
 }
 
@@ -65,19 +73,22 @@ func (r *RNG) ReseedDerive(seed, stream uint64) {
 	r.Reseed(mixed)
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
+// Next returns the value Uint64 would return and the state after that
+// draw, leaving r itself unchanged. A hot loop copies the generator into a
+// local, steps the copy with Next and stores it back once at the end; the
+// draws are the ones the same number of Uint64 calls would make.
+func (r RNG) Next() (uint64, RNG) {
+	s2 := r.s2 ^ r.s0
+	s3 := r.s3 ^ r.s1
+	return bits.RotateLeft64(r.s1*5, 7) * 9,
+		RNG{r.s0 ^ s3, r.s1 ^ s2, s2 ^ r.s1<<17, bits.RotateLeft64(s3, 45)}
+}
 
 // Uint64 returns a uniformly distributed 64-bit value.
 func (r *RNG) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	x, next := r.Next()
+	*r = next
+	return x
 }
 
 // Intn returns a uniformly distributed int in [0, n). It panics if n <= 0.
@@ -93,7 +104,24 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Bool returns true with probability p.
+// Threshold returns the integer form of the comparison Float64() < p: for
+// the draw x that Float64 consumes, Float64() < p holds exactly when
+// x>>11 < Threshold(p). Float64 is m·2⁻⁵³ with m = x>>11 < 2⁵³, and for
+// 0 < p < 1 the product p·2⁵³ is exact (scaling by a power of two), so
+// m < p·2⁵³ is m < ⌈p·2⁵³⌉ for integer m. Every p ≥ 1 exceeds every draw and
+// gives 2⁵³; p ≤ 0 and NaN exceed none and give 0.
+func Threshold(p float64) uint64 {
+	switch {
+	case p >= 1:
+		return 1 << 53
+	case p > 0:
+		return uint64(math.Ceil(p * (1 << 53)))
+	}
+	return 0
+}
+
+// Bool returns true with probability p. It draws only when 0 < p < 1 or p
+// is NaN (a draw that returns false); p <= 0 and p >= 1 decide without one.
 func (r *RNG) Bool(p float64) bool {
 	if p <= 0 {
 		return false

@@ -108,6 +108,48 @@ func TestBoolEdgeCases(t *testing.T) {
 	}
 }
 
+func TestNextMatchesUint64(t *testing.T) {
+	a, b := New(17), New(17)
+	for i := 0; i < 1000; i++ {
+		before := *b
+		x, next := b.Next()
+		if *b != before {
+			t.Fatal("Next changed its receiver")
+		}
+		*b = next
+		if want := a.Uint64(); x != want {
+			t.Fatalf("draw %d: Next = %#x, Uint64 = %#x", i, x, want)
+		}
+	}
+}
+
+func TestThresholdMatchesFloat64Compare(t *testing.T) {
+	// Float64() < p against x>>11 < Threshold(p) for the 53-bit draws on
+	// either side of the threshold, at rates where rounding could part
+	// them: the smallest subnormal, neighbours of 2⁻⁵³, ½ and 1, and the
+	// cases outside (0, 1).
+	ulp := math.Ldexp(1, -53)
+	ps := []float64{
+		0, math.SmallestNonzeroFloat64, 1e-300, 0.001 / 3,
+		ulp, math.Nextafter(ulp, 0), math.Nextafter(ulp, 1), 3 * ulp,
+		0.5, math.Nextafter(0.5, 0), math.Nextafter(0.5, 1),
+		1 - ulp, math.Nextafter(1, 0), 1, 1.5, math.Inf(1),
+		-0.1, math.Inf(-1), math.NaN(),
+	}
+	for _, p := range ps {
+		th := Threshold(p)
+		for _, m := range []uint64{0, 1, th - 1, th, th + 1, 1<<52 + 1, 1<<53 - 1} {
+			if m >= 1<<53 {
+				continue
+			}
+			// Float64 returns float64(x>>11) / 2⁵³; m stands for x>>11.
+			if got, want := m < th, float64(m)/(1<<53) < p; got != want {
+				t.Errorf("p=%v m=%d: threshold %d says %v, Float64 compare %v", p, m, th, got, want)
+			}
+		}
+	}
+}
+
 func TestBoolFrequency(t *testing.T) {
 	r := New(9)
 	hits := 0
