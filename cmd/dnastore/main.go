@@ -173,9 +173,9 @@ func cmdEncode(args []string) error {
 	if err := writeSeqLines(*out, strands); err != nil {
 		return err
 	}
-	fmt.Printf("encoded %d bytes into %d strands of %d nt (%.2f bits/nt logical density)\n",
-		len(data), len(strands), c.StrandLen(),
-		float64(8*len(data))/float64(len(strands)*c.StrandLen()))
+	logical, physical := c.Density(len(data))
+	fmt.Printf("encoded %d bytes into %d strands of %d nt (%.2f bits/nt logical, %.2f bits/nt physical)\n",
+		len(data), len(strands), c.StrandLen(), logical, physical)
 	return nil
 }
 
@@ -533,7 +533,7 @@ func cmdPipeline(args []string) (err error) {
 		return err
 	}
 	start := time.Now()
-	res, err := pipe.Run(data, runOpts)
+	res, err := pipe.RunContext(context.Background(), data, runOpts)
 	wall := time.Since(start)
 	if err != nil {
 		return err

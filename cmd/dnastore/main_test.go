@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"dnastore/internal/cluster"
@@ -178,8 +180,24 @@ func TestCmdEncodeDecodeFiles(t *testing.T) {
 	if err := os.WriteFile(in, payload, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdEncode([]string{"-in", in, "-out", strands, "-n", "24", "-k", "16", "-payload", "10"}); err != nil {
+	printed := captureStdout(t, func() error {
+		return cmdEncode([]string{"-in", in, "-out", strands, "-n", "24", "-k", "16", "-payload", "10"})
+	})
+	// The logical figure counts payload bases only; the physical one counts
+	// whole strands, index included (Codec.Density). Index width and seed
+	// are the CLI's defaults.
+	c, err := codec.NewCodec(codec.Params{N: 24, K: 16, PayloadBytes: 10, IndexBases: 8, Seed: 42})
+	if err != nil {
 		t.Fatal(err)
+	}
+	logical, physical := c.Density(len(payload))
+	for _, want := range []string{
+		fmt.Sprintf("%.2f bits/nt logical", logical),
+		fmt.Sprintf("%.2f bits/nt physical", physical),
+	} {
+		if !strings.Contains(printed, want) {
+			t.Errorf("encode printed %q, want it to contain %q", printed, want)
+		}
 	}
 	if err := cmdDecode([]string{"-in", strands, "-out", out, "-n", "24", "-k", "16", "-payload", "10"}); err != nil {
 		t.Fatal(err)
@@ -336,4 +354,27 @@ func TestCmdPipelineStream(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatal("CLI streaming pipeline round trip mismatch")
 	}
+}
+
+// captureStdout runs f with os.Stdout redirected to a temporary file and
+// returns what f printed there.
+func captureStdout(t *testing.T, f func() error) string {
+	t.Helper()
+	tmp, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tmp.Close()
+	stdout := os.Stdout
+	os.Stdout = tmp
+	err = f()
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatal(err)
+	}
+	printed, err := os.ReadFile(tmp.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(printed)
 }

@@ -22,7 +22,7 @@
 //			Coverage: dnastore.FixedCoverage(10), Seed: 1},
 //		dnastore.ClusterOptions{Seed: 2},
 //		dnastore.NWReconstruction{})
-//	res, err := pipe.Run(data, dnastore.RunOptions{})
+//	res, err := pipe.RunContext(context.Background(), data, dnastore.RunOptions{})
 //	// res.Data == data; res.Stages holds the per-stage counters (busy time,
 //	// items in and out), the Table III latency breakdown.
 package dnastore
@@ -327,7 +327,7 @@ var (
 var (
 	// ErrDecode marks every decoder failure (codec package).
 	ErrDecode = codec.ErrDecode
-	// ErrNotConfigured is returned by Pipeline.Run when a module is missing.
+	// ErrNotConfigured is returned by Pipeline.RunContext when a module is missing.
 	ErrNotConfigured = core.ErrNotConfigured
 	// ErrCancelled wraps aborts caused by context cancellation or deadlines
 	// (the run context or RunOptions.StageTimeout); the underlying
@@ -353,9 +353,9 @@ var (
 
 // Observability spine (internal/obs): per-stage atomic counters and stage
 // lifecycle hooks shared by every pipeline entry point. Hand a Pipeline a
-// MetricsRegistry (Pipeline.Metrics) and every Run / RunStream / archive
-// worker publishes its per-stage counters into it; Snapshot() at any moment
-// for a consistent JSON-ready view (the CLI's -metrics-json).
+// MetricsRegistry (Pipeline.Metrics) and every RunContext / RunStream /
+// archive worker publishes its per-stage counters into it; Snapshot() at any
+// moment for a consistent JSON-ready view (the CLI's -metrics-json).
 type (
 	// MetricsRegistry collects named per-stage counters; safe for
 	// concurrent use and long-lived accumulation across runs.

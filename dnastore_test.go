@@ -2,6 +2,7 @@ package dnastore_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"dnastore"
@@ -25,7 +26,7 @@ func TestFacadeRoundTrip(t *testing.T) {
 		dnastore.ClusterOptions{Seed: 2},
 		dnastore.NWReconstruction{})
 	data := []byte("hello, molecular archive")
-	res, err := pipe.Run(data, dnastore.RunOptions{})
+	res, err := pipe.RunContext(context.Background(), data, dnastore.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestFacadeGiniAndPrimers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, rep, err := codec.DecodeFile(strands)
+	got, rep, err := codec.DecodeFileContext(context.Background(), strands, dnastore.DecodeOptions{})
 	if err != nil || !rep.Clean() || !bytes.Equal(got, data) {
 		t.Fatalf("facade gini round trip failed: %v %v", rep, err)
 	}

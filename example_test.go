@@ -28,7 +28,7 @@ func Example() {
 		dnastore.ClusterOptions{Seed: 2},
 		dnastore.NWReconstruction{})
 	data := []byte("hello, DNA")
-	res, err := pipe.Run(data, dnastore.RunOptions{})
+	res, err := pipe.RunContext(context.Background(), data, dnastore.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

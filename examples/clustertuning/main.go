@@ -43,7 +43,10 @@ func main() {
 	// The Fig. 5 histogram: distances between q-gram signatures of sampled
 	// reads. Same-strand pairs pile up near zero; different-strand pairs
 	// form the big bell.
-	low, high, hist := cluster.AutoThresholdsDefault(seqs, 3)
+	low, high, hist, err := cluster.AutoThresholdsContext(ctx, seqs, dnastore.ClusterOptions{Seed: 3})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("automatic thresholds: θ_low=%d θ_high=%d\n\n", low, high)
 	printHistogram(hist, low, high)
 

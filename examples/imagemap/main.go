@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -129,7 +130,7 @@ func runPipeline(planes []byte, mapper *dnastore.Mapper, seed uint64) []byte {
 			}
 		}
 	}
-	data, report, err := codec.DecodeFile(strands)
+	data, report, err := codec.DecodeFileContext(context.Background(), strands, dnastore.DecodeOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -42,7 +43,7 @@ error correction.`)
 		dnastore.ClusterOptions{Seed: 2},
 		dnastore.NWReconstruction{})
 
-	res, err := pipe.Run(data, dnastore.RunOptions{})
+	res, err := pipe.RunContext(context.Background(), data, dnastore.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

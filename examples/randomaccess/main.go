@@ -8,6 +8,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 
@@ -54,7 +55,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	reads, err := tube.Access(key, pool.PCROptions{
+	reads, err := tube.AccessContext(context.Background(), key, pool.PCROptions{
 		Channel:  dnastore.CalibratedIID(0.04),
 		Coverage: 12,
 		Seed:     23,
@@ -82,7 +83,7 @@ func main() {
 		Clusterer:     core.OptionsClusterer{Options: dnastore.ClusterOptions{Seed: 25}},
 		Reconstructor: core.AlgorithmReconstructor{Algorithm: dnastore.NWReconstruction{}},
 	}
-	res, err := pipe.Run(nil, dnastore.RunOptions{})
+	res, err := pipe.RunContext(context.Background(), nil, dnastore.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

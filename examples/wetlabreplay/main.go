@@ -118,7 +118,7 @@ func main() {
 		Clusterer:     core.OptionsClusterer{Options: dnastore.ClusterOptions{Seed: 7}},
 		Reconstructor: core.AlgorithmReconstructor{Algorithm: dnastore.NWReconstruction{}},
 	}
-	res, err := pipe.Run(nil, dnastore.RunOptions{})
+	res, err := pipe.RunContext(context.Background(), nil, dnastore.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

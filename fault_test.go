@@ -33,7 +33,7 @@ func faultTestPipeline(t *testing.T) (*dnastore.Codec, *dnastore.Pipeline) {
 func TestFacadeSentinelErrors(t *testing.T) {
 	t.Run("not configured", func(t *testing.T) {
 		var empty dnastore.Pipeline
-		_, err := empty.Run(nil, dnastore.RunOptions{})
+		_, err := empty.RunContext(context.Background(), nil, dnastore.RunOptions{})
 		if !errors.Is(err, dnastore.ErrNotConfigured) {
 			t.Fatalf("err = %v", err)
 		}
@@ -51,7 +51,7 @@ func TestFacadeSentinelErrors(t *testing.T) {
 		// A run with no reads leaves nothing to reconstruct.
 		_, pipe := faultTestPipeline(t)
 		pipe.Simulator = dnastore.ReadsSource{}
-		res, err := pipe.Run([]byte("starved"), dnastore.RunOptions{})
+		res, err := pipe.RunContext(context.Background(), []byte("starved"), dnastore.RunOptions{})
 		if !errors.Is(err, dnastore.ErrNoUsableClusters) {
 			t.Fatalf("err = %v", err)
 		}
@@ -61,7 +61,7 @@ func TestFacadeSentinelErrors(t *testing.T) {
 	})
 	t.Run("decode", func(t *testing.T) {
 		codec, _ := faultTestPipeline(t)
-		_, _, err := codec.DecodeFile(nil)
+		_, _, err := codec.DecodeFileContext(context.Background(), nil, dnastore.DecodeOptions{})
 		if !errors.Is(err, dnastore.ErrDecode) {
 			t.Fatalf("err = %v", err)
 		}
@@ -137,7 +137,7 @@ func TestFacadeSentinelErrors(t *testing.T) {
 			Inner:  pipe.Simulator,
 			Faults: dnastore.ChaosFaults{PanicEveryN: 1},
 		}
-		_, err := pipe.Run([]byte("boom"), dnastore.RunOptions{})
+		_, err := pipe.RunContext(context.Background(), []byte("boom"), dnastore.RunOptions{})
 		if !errors.Is(err, dnastore.ErrStagePanic) {
 			t.Fatalf("err = %v", err)
 		}
@@ -165,7 +165,7 @@ func TestFacadeChaosRoundTrip(t *testing.T) {
 		Faults: dnastore.ChaosFaults{Seed: 7, DropRead: 0.02, StageLatency: time.Millisecond},
 	}
 	data := bytes.Repeat([]byte("chaos through the facade "), 10)
-	res, err := pipe.Run(data, dnastore.RunOptions{Retries: 1, BestEffort: true})
+	res, err := pipe.RunContext(context.Background(), data, dnastore.RunOptions{Retries: 1, BestEffort: true})
 	if err != nil {
 		t.Fatalf("chaotic run failed outright: %v", err)
 	}
@@ -185,7 +185,7 @@ func TestFacadeStageTimeout(t *testing.T) {
 		Faults: dnastore.ChaosFaults{StageLatency: 30 * time.Second},
 	}
 	start := time.Now()
-	_, err := pipe.Run([]byte("slow"), dnastore.RunOptions{StageTimeout: 50 * time.Millisecond})
+	_, err := pipe.RunContext(context.Background(), []byte("slow"), dnastore.RunOptions{StageTimeout: 50 * time.Millisecond})
 	if time.Since(start) > 5*time.Second {
 		t.Fatal("timeout not enforced promptly")
 	}

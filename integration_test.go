@@ -2,6 +2,7 @@ package dnastore_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -29,7 +30,7 @@ func TestRealisticChannelRoundTrip(t *testing.T) {
 		dnastore.ClusterOptions{Seed: 103},
 		dnastore.NWReconstruction{})
 	data := bytes.Repeat([]byte("realistic wetlab conditions "), 40)
-	res, err := pipe.Run(data, dnastore.RunOptions{})
+	res, err := pipe.RunContext(context.Background(), data, dnastore.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestGiniPipelineWithWGram(t *testing.T) {
 		dnastore.ClusterOptions{Seed: 106, Mode: dnastore.WGram},
 		dnastore.DoubleSidedBMAReconstruction{})
 	data := []byte("gini layout + w-gram clustering + double-sided BMA")
-	res, err := pipe.Run(data, dnastore.RunOptions{})
+	res, err := pipe.RunContext(context.Background(), data, dnastore.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestQuickPipelineProperty(t *testing.T) {
 			},
 			dnastore.ClusterOptions{Seed: uint64(seedByte) + 1},
 			dnastore.NWReconstruction{})
-		res, err := pipe.Run(payload, dnastore.RunOptions{})
+		res, err := pipe.RunContext(context.Background(), payload, dnastore.RunOptions{})
 		return err == nil && bytes.Equal(res.Data, payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {

@@ -675,21 +675,13 @@ func (g *Graph) ConsensusColumns(targetLen int) (dna.Seq, []Column) {
 }
 
 // ConsensusOf resets the graph, aligns all reads into it and returns the
-// majority consensus, trimming to targetLen as described in §VII-C. It is
-// the scratch-reusing entry point: a worker that holds one Graph and calls
-// ConsensusOf per cluster pays no DP-table allocations after warmup.
+// majority consensus, trimming to targetLen as described in §VII-C. A
+// worker that holds one Graph and calls ConsensusOf per cluster pays no
+// DP-table allocations after warmup.
 func (g *Graph) ConsensusOf(reads []dna.Seq, targetLen int) dna.Seq {
 	g.Reset()
 	for _, r := range reads {
 		g.AddSequence(r)
 	}
 	return g.Consensus(targetLen)
-}
-
-// Consensus aligns all reads into a fresh POA graph and returns the majority
-// consensus, trimming to targetLen as described in §VII-C. It is the
-// convenience entry point used by one-off callers; the reconstruction worker
-// pool reuses a per-worker graph via ConsensusOf instead.
-func Consensus(reads []dna.Seq, targetLen int) dna.Seq {
-	return NewGraph().ConsensusOf(reads, targetLen)
 }

@@ -102,12 +102,12 @@ func TestEmptyInputs(t *testing.T) {
 
 func TestConsensusHelper(t *testing.T) {
 	ref := seq("ACGTTGCAACGT")
-	got := Consensus([]dna.Seq{ref, ref, ref}, 0)
+	got := NewGraph().ConsensusOf([]dna.Seq{ref, ref, ref}, 0)
 	if !got.Equal(ref) {
 		t.Fatalf("Consensus helper = %v", got)
 	}
-	if len(Consensus(nil, 0)) != 0 {
-		t.Fatal("Consensus(nil) should be empty")
+	if len(NewGraph().ConsensusOf(nil, 0)) != 0 {
+		t.Fatal("ConsensusOf(nil) should be empty")
 	}
 }
 
@@ -208,7 +208,7 @@ func TestNoisyClusterRecovery(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			reads = append(reads, mutate(rng, ref, 0.06))
 		}
-		got := Consensus(reads, len(ref))
+		got := NewGraph().ConsensusOf(reads, len(ref))
 		if got.Equal(ref) {
 			recovered++
 		}
@@ -220,14 +220,15 @@ func TestNoisyClusterRecovery(t *testing.T) {
 
 func TestConsensusCloseEvenWhenNotExact(t *testing.T) {
 	rng := xrand.New(43)
+	var es edit.Scratch
 	for trial := 0; trial < 20; trial++ {
 		ref := dna.Random(rng, 80)
 		var reads []dna.Seq
 		for i := 0; i < 8; i++ {
 			reads = append(reads, mutate(rng, ref, 0.1))
 		}
-		got := Consensus(reads, len(ref))
-		if d := edit.Levenshtein(got, ref); d > 8 {
+		got := NewGraph().ConsensusOf(reads, len(ref))
+		if d := es.Levenshtein(got, ref); d > 8 {
 			t.Fatalf("trial %d: consensus edit distance %d from reference", trial, d)
 		}
 	}
@@ -311,7 +312,7 @@ func TestGraphResetReuse(t *testing.T) {
 		if rng.Intn(5) == 0 {
 			reads = append(reads, nil) // empty reads must stay harmless
 		}
-		want := Consensus(reads, len(ref))
+		want := NewGraph().ConsensusOf(reads, len(ref))
 		got := reused.ConsensusOf(reads, len(ref))
 		if !got.Equal(want) {
 			t.Fatalf("trial %d: reused-graph consensus %v != fresh %v", trial, got, want)
@@ -356,8 +357,8 @@ func TestGraphDeterminism(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		reads = append(reads, mutate(rng, ref, 0.08))
 	}
-	a := Consensus(reads, len(ref))
-	b := Consensus(reads, len(ref))
+	a := NewGraph().ConsensusOf(reads, len(ref))
+	b := NewGraph().ConsensusOf(reads, len(ref))
 	if !a.Equal(b) {
 		t.Fatal("consensus is nondeterministic")
 	}
@@ -372,6 +373,6 @@ func BenchmarkConsensusCoverage10Len110(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Consensus(reads, len(ref))
+		NewGraph().ConsensusOf(reads, len(ref))
 	}
 }

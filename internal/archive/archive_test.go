@@ -636,3 +636,28 @@ func TestArchiveCrashResumeSmoke(t *testing.T) {
 		t.Fatalf("audit: %+v", rep)
 	}
 }
+
+// TestAtomicWriteFile checks the durable write Build stores the manifest
+// with, at the empty temp suffix Build uses and at a worker-style one: no
+// temp file survives a successful write, and an overwrite (here a shorter
+// one) lands whole.
+func TestAtomicWriteFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "MANIFEST.dvma")
+	for _, suffix := range []string{"", ".7"} {
+		for _, data := range [][]byte{[]byte("first write, the longer one"), []byte("overwrite")} {
+			if err := AtomicWriteFile(path, data, suffix); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := os.Stat(path + ".tmp" + suffix); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("suffix %q: temp file left behind: %v", suffix, err)
+			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, data) {
+				t.Fatalf("suffix %q: read back %q, want %q", suffix, got, data)
+			}
+		}
+	}
+}

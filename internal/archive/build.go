@@ -78,7 +78,11 @@ func Build(ctx context.Context, p *core.Pipeline, r io.Reader, dir string, opts 
 	}
 	// The manifest lands last, atomically: its presence certifies that every
 	// shard byte above it is durable.
-	if err := codec.WriteManifest(d.ManifestPath(), m); err != nil {
+	raw, err := codec.MarshalManifest(m)
+	if err != nil {
+		return nil, err
+	}
+	if err := AtomicWriteFile(d.ManifestPath(), raw, ""); err != nil {
 		return nil, err
 	}
 	return m, nil

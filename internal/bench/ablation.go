@@ -7,7 +7,6 @@ import (
 	"dnastore/internal/cluster"
 	"dnastore/internal/codec"
 	"dnastore/internal/dna"
-	"dnastore/internal/recon"
 	"dnastore/internal/sim"
 	"dnastore/internal/xrand"
 )
@@ -93,24 +92,15 @@ func Gini(cfg GiniConfig) (GiniResult, error) {
 				if err != nil {
 					return res, err
 				}
-				reads, err := sim.SimulatePoolContext(context.Background(), strands, sim.Options{
-					Channel:   sim.CalibratedIID(cfg.ErrorRate),
-					Coverage:  sim.FixedCoverage(coverage),
-					Seed:      seed + 1,
-					KeepOrder: true,
+				recons, _, err := reconstructByOrigin(strands, c.StrandLen(), sim.Options{
+					Channel:  sim.CalibratedIID(cfg.ErrorRate),
+					Coverage: sim.FixedCoverage(coverage),
+					Seed:     seed + 1,
 				})
 				if err != nil {
 					return res, err
 				}
-				clusters := make([][]dna.Seq, len(strands))
-				for _, r := range reads {
-					clusters[r.Origin] = append(clusters[r.Origin], r.Seq)
-				}
-				recons, err := recon.ReconstructAllContext(context.Background(), clusters, c.StrandLen(), recon.DoubleSidedBMA{}, 0)
-				if err != nil {
-					return res, err
-				}
-				got, report, err := c.DecodeFile(recons)
+				got, report, err := c.DecodeFileContext(context.Background(), recons, codec.DecodeOptions{})
 				if err == nil && report.Clean() && string(got) == string(data) {
 					cell.Recovered++
 				}
@@ -156,11 +146,7 @@ type SweepResult struct {
 // Sweep runs the ablation at a high error rate, where stragglers matter.
 func Sweep(cfg SweepConfig) (SweepResult, error) {
 	ctx := context.Background()
-	rng := xrand.New(cfg.Seed)
-	strands := make([]dna.Seq, cfg.Strands)
-	for i := range strands {
-		strands[i] = dna.Random(rng, cfg.StrandLen)
-	}
+	strands := drawStrands(xrand.New(cfg.Seed), cfg.Strands, cfg.StrandLen)
 	reads, err := sim.SimulatePoolContext(ctx, strands, sim.Options{
 		Channel:  sim.CalibratedIID(cfg.ErrorRate),
 		Coverage: sim.FixedCoverage(cfg.Coverage),

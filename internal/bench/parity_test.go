@@ -105,7 +105,7 @@ func TestPOAParityWithSeed(t *testing.T) {
 			reads = reads[:1] // singleton cluster
 		}
 		want := refConsensus(reads, refLen)
-		if got := align.Consensus(reads, refLen); !got.Equal(want) {
+		if got := align.NewGraph().ConsensusOf(reads, refLen); !got.Equal(want) {
 			t.Fatalf("trial %d: fresh consensus %v != seed %v", trial, got, want)
 		}
 		if got := reused.ConsensusOf(reads, refLen); !got.Equal(want) {

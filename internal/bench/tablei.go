@@ -93,14 +93,8 @@ func TableI(cfg TableIConfig) (TableIResult, error) {
 	ref.BaseRate = cfg.Severity
 
 	// Disjoint train and test strand sets.
-	train := make([]dna.Seq, cfg.TrainStrands)
-	for i := range train {
-		train[i] = dna.Random(rng, cfg.StrandLen)
-	}
-	test := make([]dna.Seq, cfg.TestStrands)
-	for i := range test {
-		test[i] = dna.Random(rng, cfg.StrandLen)
-	}
+	train := drawStrands(rng, cfg.TrainStrands, cfg.StrandLen)
+	test := drawStrands(rng, cfg.TestStrands, cfg.StrandLen)
 
 	// Paired training data from the reference channel; the data-driven
 	// model sees only these pairs, the naive models only the mean rate.
@@ -108,60 +102,88 @@ func TableI(cfg TableIConfig) (TableIResult, error) {
 	rate := sim.MeasureErrorRate(pairs)
 	learned := sim.TrainProfile(pairs, 24)
 
-	channels := []struct {
-		name string
-		ch   sim.Channel
-	}{
+	channels := []fidelityChannel{
 		{"Rashtchian", sim.CalibratedIID(rate)},
 		{"SOLQC", sim.DefaultSOLQC(rate)},
 		{"RNN", learned}, // data-driven stand-in for the paper's RNN
 		{"Real", ref},
 	}
+	var coverage sim.CoverageModel = sim.FixedCoverage(cfg.Coverage)
+	if cfg.CoverageSigma > 0 {
+		coverage = sim.SkewedCoverage{Mean: float64(cfg.Coverage), Sigma: cfg.CoverageSigma}
+	}
+	// The same coverage draw for every channel.
+	rows, err := fidelityRows(test, cfg.StrandLen, channels, coverage, func(int) uint64 { return cfg.Seed + 10 })
+	if err != nil {
+		return TableIResult{}, err
+	}
+	for ci := range rows {
+		rows[ci].RawRate = sim.MeasureErrorRate(sim.GeneratePairs(cfg.Seed+99+uint64(ci), rows[ci].Channel, test[:min(len(test), 200)], 1))
+	}
+	return TableIResult{Rows: rows}, nil
+}
 
-	res := TableIResult{}
+// fidelityChannel is one simulator of a fidelity experiment.
+type fidelityChannel struct {
+	name string
+	ch   sim.Channel
+}
+
+// fidelityRows runs the §V-A fidelity loop shared by Table I and its GRU
+// variant: each channel generates a read dataset over the test strands at
+// the given coverage and seed(ci), the dataset is reconstructed per origin
+// with double-sided BMA, and each row's per-index error profile is compared
+// against the last channel's, the real one.
+func fidelityRows(test []dna.Seq, strandLen int, channels []fidelityChannel, coverage sim.CoverageModel, seed func(ci int) uint64) ([]SimulatorRow, error) {
+	rows := make([]SimulatorRow, 0, len(channels))
 	for ci, c := range channels {
-		var coverage sim.CoverageModel = sim.FixedCoverage(cfg.Coverage)
-		if cfg.CoverageSigma > 0 {
-			coverage = sim.SkewedCoverage{Mean: float64(cfg.Coverage), Sigma: cfg.CoverageSigma}
-		}
-		reads, err := sim.SimulatePoolContext(context.Background(), test, sim.Options{
-			Channel:   c.ch,
-			Coverage:  coverage,
-			Seed:      cfg.Seed + 10, // same coverage draw for every channel
-			KeepOrder: true,
+		recons, reads, err := reconstructByOrigin(test, strandLen, sim.Options{
+			Channel: c.ch, Coverage: coverage, Seed: seed(ci),
 		})
 		if err != nil {
-			return TableIResult{}, err
+			return nil, err
 		}
-		clusters := make([][]dna.Seq, len(test))
-		for _, r := range reads {
-			clusters[r.Origin] = append(clusters[r.Origin], r.Seq)
-		}
-		recons, err := recon.ReconstructAllContext(context.Background(), clusters, cfg.StrandLen, recon.DoubleSidedBMA{}, 0)
-		if err != nil {
-			return TableIResult{}, err
-		}
-		profile := recon.ErrorProfile(test, recons, cfg.StrandLen)
-		res.Rows = append(res.Rows, SimulatorRow{
+		profile := recon.ErrorProfile(test, recons, strandLen)
+		rows = append(rows, SimulatorRow{
 			Name:     c.name,
 			MeanErr:  recon.MeanErrorRate(profile),
 			Perfect:  recon.PerfectCount(test, recons),
 			Profile:  profile,
-			RawRate:  sim.MeasureErrorRate(sim.GeneratePairs(cfg.Seed+99+uint64(ci), c.ch, test[:minInt(len(test), 200)], 1)),
 			Channel:  c.ch,
-			DatasetN: len(reads),
+			DatasetN: reads,
 		})
 	}
-	realProfile := res.Rows[len(res.Rows)-1].Profile
-	for i := range res.Rows {
-		res.Rows[i].MeanDev = recon.MeanAbsDeviation(res.Rows[i].Profile, realProfile)
+	realProfile := rows[len(rows)-1].Profile
+	for i := range rows {
+		rows[i].MeanDev = recon.MeanAbsDeviation(rows[i].Profile, realProfile)
 	}
-	return res, nil
+	return rows, nil
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
+// reconstructByOrigin simulates reads of strands under opts, groups them by
+// their true origin (perfect clustering) and reconstructs every strand with
+// double-sided BMA, as the paper's fidelity and layout experiments do. Reads
+// keep their simulation order (KeepOrder), which fixes each cluster's read
+// order and so the consensus. It also returns the number of reads.
+func reconstructByOrigin(strands []dna.Seq, strandLen int, opts sim.Options) ([]dna.Seq, int, error) {
+	opts.KeepOrder = true
+	reads, err := sim.SimulatePoolContext(context.Background(), strands, opts)
+	if err != nil {
+		return nil, 0, err
 	}
-	return b
+	clusters := make([][]dna.Seq, len(strands))
+	for _, r := range reads {
+		clusters[r.Origin] = append(clusters[r.Origin], r.Seq)
+	}
+	recons, err := recon.ReconstructAllContext(context.Background(), clusters, strandLen, recon.DoubleSidedBMA{}, 0)
+	return recons, len(reads), err
+}
+
+// drawStrands returns n random strands of strandLen bases drawn from rng.
+func drawStrands(rng *xrand.RNG, n, strandLen int) []dna.Seq {
+	strands := make([]dna.Seq, n)
+	for i := range strands {
+		strands[i] = dna.Random(rng, strandLen)
+	}
+	return strands
 }

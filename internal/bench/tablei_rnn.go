@@ -1,10 +1,6 @@
 package bench
 
 import (
-	"context"
-
-	"dnastore/internal/dna"
-	"dnastore/internal/recon"
 	"dnastore/internal/sim"
 	"dnastore/internal/xrand"
 )
@@ -46,21 +42,8 @@ func DefaultTableIRNN() TableIRNNConfig {
 // TableIRNNResult compares the GRU simulator against the naive IID channel
 // and the reference ("Real") channel on the §V-A metrics.
 type TableIRNNResult struct {
-	Rows   []SimulatorRow
+	TableIResult
 	Losses []float64 // per-epoch training losses (must decrease)
-}
-
-// Real returns the real-data row.
-func (r TableIRNNResult) Real() SimulatorRow { return r.Rows[len(r.Rows)-1] }
-
-// Row returns the named row, or a zero row.
-func (r TableIRNNResult) Row(name string) SimulatorRow {
-	for _, row := range r.Rows {
-		if row.Name == name {
-			return row
-		}
-	}
-	return SimulatorRow{}
 }
 
 // TableIRNN runs the GRU-backed simulator-fidelity experiment.
@@ -69,14 +52,8 @@ func TableIRNN(cfg TableIRNNConfig) (TableIRNNResult, error) {
 	ref := sim.NewReferenceWetlab()
 	ref.BaseRate = cfg.Severity
 
-	train := make([]dna.Seq, cfg.TrainStrands)
-	for i := range train {
-		train[i] = dna.Random(rng, cfg.StrandLen)
-	}
-	test := make([]dna.Seq, cfg.TestStrands)
-	for i := range test {
-		test[i] = dna.Random(rng, cfg.StrandLen)
-	}
+	train := drawStrands(rng, cfg.TrainStrands, cfg.StrandLen)
+	test := drawStrands(rng, cfg.TestStrands, cfg.StrandLen)
 
 	pairs := sim.GeneratePairs(cfg.Seed+1, ref, train, 2)
 	rate := sim.MeasureErrorRate(pairs)
@@ -84,44 +61,14 @@ func TableIRNN(cfg TableIRNNConfig) (TableIRNNResult, error) {
 		Hidden: cfg.Hidden, Epochs: cfg.Epochs, Seed: cfg.Seed + 2,
 	})
 
-	channels := []struct {
-		name string
-		ch   sim.Channel
-	}{
+	channels := []fidelityChannel{
 		{"Rashtchian", sim.CalibratedIID(rate)},
 		{"GRU", model},
 		{"Real", ref},
 	}
-	res := TableIRNNResult{Losses: losses}
-	for ci, c := range channels {
-		reads, err := sim.SimulatePoolContext(context.Background(), test, sim.Options{
-			Channel:   c.ch,
-			Coverage:  sim.FixedCoverage(cfg.Coverage),
-			Seed:      cfg.Seed + 10 + uint64(ci),
-			KeepOrder: true,
-		})
-		if err != nil {
-			return TableIRNNResult{}, err
-		}
-		clusters := make([][]dna.Seq, len(test))
-		for _, r := range reads {
-			clusters[r.Origin] = append(clusters[r.Origin], r.Seq)
-		}
-		recons, err := recon.ReconstructAllContext(context.Background(), clusters, cfg.StrandLen, recon.DoubleSidedBMA{}, 0)
-		if err != nil {
-			return TableIRNNResult{}, err
-		}
-		profile := recon.ErrorProfile(test, recons, cfg.StrandLen)
-		res.Rows = append(res.Rows, SimulatorRow{
-			Name:    c.name,
-			MeanErr: recon.MeanErrorRate(profile),
-			Perfect: recon.PerfectCount(test, recons),
-			Profile: profile,
-		})
+	rows, err := fidelityRows(test, cfg.StrandLen, channels, sim.FixedCoverage(cfg.Coverage), func(ci int) uint64 { return cfg.Seed + 10 + uint64(ci) })
+	if err != nil {
+		return TableIRNNResult{}, err
 	}
-	realProfile := res.Rows[len(res.Rows)-1].Profile
-	for i := range res.Rows {
-		res.Rows[i].MeanDev = recon.MeanAbsDeviation(res.Rows[i].Profile, realProfile)
-	}
-	return res, nil
+	return TableIRNNResult{TableIResult: TableIResult{Rows: rows}, Losses: losses}, nil
 }

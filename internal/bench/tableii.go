@@ -86,11 +86,7 @@ func TableII(cfg TableIIConfig) (TableIIResult, error) {
 			cell.Mode = mode
 			for run := 0; run < cfg.Runs; run++ {
 				seed := cfg.Seed + uint64(run)*1000 + uint64(rate*1e4)
-				rng := xrand.New(seed)
-				strands := make([]dna.Seq, cfg.Strands)
-				for i := range strands {
-					strands[i] = dna.Random(rng, cfg.StrandLen)
-				}
+				strands := drawStrands(xrand.New(seed), cfg.Strands, cfg.StrandLen)
 				reads, err := sim.SimulatePoolContext(ctx, strands, sim.Options{
 					Channel:  sim.CalibratedIID(rate),
 					Coverage: sim.FixedCoverage(cfg.Coverage),
@@ -154,11 +150,7 @@ type Fig5Result struct {
 
 // Fig5 samples reads and produces the auto-configuration histogram.
 func Fig5(cfg Fig5Config) (Fig5Result, error) {
-	rng := xrand.New(cfg.Seed)
-	strands := make([]dna.Seq, cfg.Strands)
-	for i := range strands {
-		strands[i] = dna.Random(rng, cfg.StrandLen)
-	}
+	strands := drawStrands(xrand.New(cfg.Seed), cfg.Strands, cfg.StrandLen)
 	reads, err := sim.SimulatePoolContext(context.Background(), strands, sim.Options{
 		Channel:  sim.CalibratedIID(cfg.ErrorRate),
 		Coverage: sim.FixedCoverage(cfg.Coverage),
@@ -168,6 +160,9 @@ func Fig5(cfg Fig5Config) (Fig5Result, error) {
 		return Fig5Result{}, err
 	}
 	seqs := sim.Sequences(reads)
-	low, high, hist := cluster.AutoThresholdsDefault(seqs, cfg.Seed+2)
+	low, high, hist, err := cluster.AutoThresholdsContext(context.Background(), seqs, cluster.Options{Seed: cfg.Seed + 2})
+	if err != nil {
+		return Fig5Result{}, err
+	}
 	return Fig5Result{Histogram: hist, ThetaLow: low, ThetaHigh: high}, nil
 }

@@ -174,7 +174,7 @@ func TableIII(cfg TableIIIConfig) (TableIIIResult, error) {
 					},
 					cluster.Options{Mode: mode, Seed: cfg.Seed + 2},
 					algo)
-				out, err := p.Run(data, core.RunOptions{})
+				out, err := p.RunContext(context.Background(), data, core.RunOptions{})
 				if err != nil {
 					return res, fmt.Errorf("pipeline %s cov %d: %w", algo.Name(), coverage, err)
 				}

@@ -55,9 +55,9 @@ func chaoticPipeline(t *testing.T, f Faults) (*core.Pipeline, *Channel, *Algorit
 
 func TestChaoticRunSurvives(t *testing.T) {
 	// The acceptance scenario: injected worker-pool panics, read drops, read
-	// truncation and stage latency all at once. Run must complete without
-	// crashing and either recover the file bit-exact or return partial data
-	// whose damage map accurately brackets the corruption.
+	// truncation and stage latency all at once. RunContext must complete
+	// without crashing and either recover the file bit-exact or return
+	// partial data whose damage map accurately brackets the corruption.
 	data := bytes.Repeat([]byte("chaos engineering for dna storage! "), 12)
 	p, ch, alg := chaoticPipeline(t, Faults{
 		Seed:         307,
@@ -65,7 +65,7 @@ func TestChaoticRunSurvives(t *testing.T) {
 		TruncateRead: 0.02,
 		StageLatency: 2 * time.Millisecond,
 	})
-	res, err := p.Run(data, core.RunOptions{Retries: 2, BestEffort: true})
+	res, err := p.RunContext(context.Background(), data, core.RunOptions{Retries: 2, BestEffort: true})
 	if err != nil {
 		t.Fatalf("chaotic run failed outright: %v", err)
 	}
@@ -101,7 +101,7 @@ func TestChaosIsDeterministic(t *testing.T) {
 	data := bytes.Repeat([]byte("replayable faults"), 10)
 	run := func() (core.Result, error, [2]int64) {
 		p, ch, alg := chaoticPipeline(t, Faults{Seed: 311, DropRead: 0.05, TruncateRead: 0.05})
-		res, err := p.Run(data, core.RunOptions{Retries: 1, BestEffort: true})
+		res, err := p.RunContext(context.Background(), data, core.RunOptions{Retries: 1, BestEffort: true})
 		return res, err, [2]int64{ch.Injected(), alg.Injected()}
 	}
 	a, errA, injA := run()
@@ -131,7 +131,7 @@ func TestStagePanicIsContained(t *testing.T) {
 		Clusterer:     core.OptionsClusterer{Options: cluster.Options{Seed: 2}},
 		Reconstructor: core.AlgorithmReconstructor{Algorithm: recon.NW{}},
 	}
-	_, err := p.Run([]byte("boom"), core.RunOptions{})
+	_, err := p.RunContext(context.Background(), []byte("boom"), core.RunOptions{})
 	if !errors.Is(err, core.ErrStagePanic) {
 		t.Fatalf("err = %v, want core.ErrStagePanic", err)
 	}
@@ -152,7 +152,7 @@ func TestPanicHookSurfacesAsStagePanic(t *testing.T) {
 				Metrics:       obs.NewRegistry(),
 			}
 			p.Metrics.OnEvent(PanicHook(stage, 1))
-			_, err := p.Run([]byte("hook boom"), core.RunOptions{})
+			_, err := p.RunContext(context.Background(), []byte("hook boom"), core.RunOptions{})
 			if !errors.Is(err, core.ErrStagePanic) {
 				t.Fatalf("err = %v, want core.ErrStagePanic", err)
 			}
@@ -184,7 +184,7 @@ func TestInjectedLatencyTripsStageTimeout(t *testing.T) {
 		Reconstructor: core.AlgorithmReconstructor{Algorithm: recon.NW{}},
 	}
 	start := time.Now()
-	_, err := p.Run([]byte("slow"), core.RunOptions{StageTimeout: 50 * time.Millisecond})
+	_, err := p.RunContext(context.Background(), []byte("slow"), core.RunOptions{StageTimeout: 50 * time.Millisecond})
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("timeout took %v", elapsed)
 	}

@@ -243,10 +243,12 @@ func ClusterContext(ctx context.Context, reads []dna.Seq, opts Options) (Result,
 	// Automatic threshold configuration (§VI-B) unless the user fixed both.
 	thetaLow, thetaHigh := o.ThetaLow, o.ThetaHigh
 	if thetaLow == 0 && thetaHigh == 0 {
-		cfgGrams := newGramSet(xrand.Derive(o.Seed, 0xc0f1), o.Mode, numGrams, o.GramLen)
-		thetaLow, thetaHigh, _ = autoThresholds(ctx, reads, cfgGrams, xrand.Derive(o.Seed, 0xc0f2), o.Workers)
+		thetaLow, thetaHigh, _, err = AutoThresholdsContext(ctx, reads, o)
 	}
 	stats.ThetaLow, stats.ThetaHigh = thetaLow, thetaHigh
+	if err != nil {
+		return Result{Stats: stats}, err
+	}
 	if o.EditThreshold == 0 {
 		o.EditThreshold = autoEditThreshold(reads, readLen, xrand.Derive(o.Seed, 0xc0f3))
 	}

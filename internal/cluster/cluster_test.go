@@ -196,7 +196,7 @@ func TestWGramSignatureDistancesSeparateMore(t *testing.T) {
 func TestAutoThresholdsSeparateModes(t *testing.T) {
 	reads, origins := makePool(t, 18, 150, 110, 10, 0.06)
 	grams := newGramSet(xrand.New(19), QGram, 48, 4)
-	low, high, hist := AutoThresholds(reads, grams, xrand.New(20))
+	low, high, hist := autoThresholds(context.Background(), reads, grams, xrand.New(20), 1)
 	if low >= high {
 		t.Fatalf("thresholds inverted: %d >= %d", low, high)
 	}

@@ -192,7 +192,7 @@ func referenceRound(ctx context.Context, reads []dna.Seq, uf *unionFind, rng *xr
 // averaged-signature accumulators and the candidate-ranking buffer. Slot w
 // is touched only by worker w (exec.ParallelForW), never shared.
 type sweepScratch struct {
-	edit  edit.Scratch
+	es    edit.Scratch
 	sig   sigScratch
 	sum   []float32
 	count []int32
@@ -328,7 +328,7 @@ func stragglerSweep(ctx context.Context, reads []dna.Seq, uf *unionFind, o Optio
 		bestJ, bestD := -1, o.EditThreshold+1
 		for _, c := range cands[:limit] {
 			editCalls[i]++
-			if d, ok := sc.edit.Within(reads[reps[i]], reads[reps[c.j]], o.EditThreshold); ok && d < bestD {
+			if d, ok := sc.es.Within(reads[reps[i]], reads[reps[c.j]], o.EditThreshold); ok && d < bestD {
 				bestJ, bestD = c.j, d
 			}
 		}

@@ -49,12 +49,12 @@ func calibPresenceOf(read dna.Seq, pb *calibPresence) int {
 }
 
 // autoEditThreshold picks the merge-confirmation edit-distance threshold
-// from the data, in the same spirit as AutoThresholds: sample probe reads,
-// compute banded edit distances to a sample, and place the threshold midway
-// between the nearest-neighbour mode (same-strand pairs) and the median
-// (different-strand pairs). A fixed fraction of the read length is unsafe:
-// for short strands the two distributions sit close together, and for long
-// ones it wastes the available gap.
+// from the data, in the same spirit as AutoThresholdsContext: sample probe
+// reads, compute banded edit distances to a sample, and place the threshold
+// midway between the nearest-neighbour mode (same-strand pairs) and the
+// median (different-strand pairs). A fixed fraction of the read length is
+// unsafe: for short strands the two distributions sit close together, and
+// for long ones it wastes the available gap.
 func autoEditThreshold(reads []dna.Seq, readLen int, rng *xrand.RNG) int {
 	return autoEditThresholdOpt(reads, readLen, rng, true)
 }
@@ -147,9 +147,9 @@ func autoEditThresholdOpt(reads []dna.Seq, readLen int, rng *xrand.RNG, filtered
 	if float64(nnLow) > 0.7*float64(median) {
 		// No same-strand bump visible (singleton-ish data): stay well below
 		// the different-strand mode.
-		return maxInt(4, median/2)
+		return max(4, median/2)
 	}
-	return maxInt(4, (nnLow+median)/2)
+	return max(4, (nnLow+median)/2)
 }
 
 // calibScreenBand is the edit band the screened nearest-neighbour search
@@ -236,43 +236,37 @@ func calibNearestScreened(reads []dna.Seq, pi int, sample []int, sampleBits []ca
 	return candMin, true
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// AutoThresholdsDefault runs AutoThresholds with the default q-gram
-// signature configuration (48 grams of length 4), which is what the
-// clustering module itself uses when no thresholds are given. It exists so
-// callers outside the package (Fig. 5 harness, examples) can inspect the
-// histogram.
-func AutoThresholdsDefault(reads []dna.Seq, seed uint64) (thetaLow, thetaHigh int, hist []int) {
-	grams := newGramSet(xrand.Derive(seed, 0xc0f1), QGram, 48, 4)
-	return AutoThresholds(reads, grams, xrand.Derive(seed, 0xc0f2))
-}
-
-// AutoThresholds implements the automatic configuration of §VI-B (Fig. 5):
-// it samples a handful of probe reads, computes signature distances against
-// a larger random sample, and derives (θ_low, θ_high) from the resulting
-// bimodal distribution. Distances between reads of different strands form a
-// bell around the histogram's main mode; distances between reads of the same
-// strand form a small bump near zero, which the probes' nearest-neighbour
-// distances locate without ground truth. θ_high is placed between the two
-// modes and θ_low inside the same-strand bump.
+// AutoThresholdsContext implements the automatic configuration of §VI-B
+// (Fig. 5): it samples a handful of probe reads, computes signature
+// distances against a larger random sample, and derives (θ_low, θ_high)
+// from the resulting bimodal distribution. Distances between reads of
+// different strands form a bell around the histogram's main mode; distances
+// between reads of the same strand form a small bump near zero, which the
+// probes' nearest-neighbour distances locate without ground truth. θ_high
+// is placed between the two modes and θ_low inside the same-strand bump.
 //
-// The returned histogram (indexed by distance) is what Fig. 5 plots.
-func AutoThresholds(reads []dna.Seq, grams gramSet, rng *xrand.RNG) (thetaLow, thetaHigh int, hist []int) {
-	return autoThresholds(context.Background(), reads, grams, rng, 1)
+// The signature grams derive from opts exactly as ClusterContext derives
+// them (Seed, Mode, GramLen), so the returned pair is the one
+// ClusterContext reports in Stats when both thresholds are left zero; the
+// returned histogram (indexed by distance) is what Fig. 5 plots. Options
+// ClusterContext cannot run return an error matching ErrOptions, and a
+// cancelled ctx returns its cause.
+func AutoThresholdsContext(ctx context.Context, reads []dna.Seq, opts Options) (thetaLow, thetaHigh int, hist []int, err error) {
+	o, err := opts.withDefaults()
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	grams := newGramSet(xrand.Derive(o.Seed, 0xc0f1), o.Mode, numGrams, o.GramLen)
+	thetaLow, thetaHigh, hist = autoThresholds(ctx, reads, grams, xrand.Derive(o.Seed, 0xc0f2), o.Workers)
+	return thetaLow, thetaHigh, hist, context.Cause(ctx)
 }
 
-// autoThresholds is the worker-parallel calibration behind AutoThresholds.
-// The sampling permutation is drawn serially before any goroutine starts and
-// the per-probe distance rows are merged back in probe order, so thresholds
-// and histogram are bit-identical for every worker count (pinned by
-// TestAutoThresholdsParallelDeterministic). Workers share one read-only gram
-// index and write disjoint rows.
+// autoThresholds is the worker-parallel calibration behind
+// AutoThresholdsContext. The sampling permutation is drawn serially before
+// any goroutine starts and the per-probe distance rows are merged back in
+// probe order, so thresholds and histogram are bit-identical for every
+// worker count (pinned by TestAutoThresholdsParallelDeterministic). Workers
+// share one read-only gram index and write disjoint rows.
 func autoThresholds(ctx context.Context, reads []dna.Seq, grams gramSet, rng *xrand.RNG, workers int) (thetaLow, thetaHigh int, hist []int) {
 	if workers < 1 {
 		workers = 1

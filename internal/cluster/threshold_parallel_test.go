@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"testing"
 
 	"dnastore/internal/xrand"
@@ -38,14 +40,39 @@ func TestAutoThresholdsParallelDeterministic(t *testing.T) {
 	}
 }
 
-// TestAutoThresholdsWrapperMatchesParallel pins that the exported serial
-// entry point is the workers=1 case of the same code path.
-func TestAutoThresholdsWrapperMatchesParallel(t *testing.T) {
-	reads, _ := makePool(t, 25, 80, 110, 6, 0.06)
-	grams := newGramSet(xrand.New(27), QGram, 48, 4)
-	aLow, aHigh, _ := AutoThresholds(reads, grams, xrand.New(31))
-	bLow, bHigh, _ := autoThresholds(context.Background(), reads, grams, xrand.New(31), 4)
-	if aLow != bLow || aHigh != bHigh {
-		t.Fatalf("wrapper (%d,%d) vs parallel (%d,%d)", aLow, aHigh, bLow, bHigh)
+// TestAutoThresholdsContextMatchesClusterStats pins AutoThresholdsContext
+// to the calibration ClusterContext runs: for the same Options it returns
+// the θ pair ClusterContext reports in Stats, in both signature modes, at
+// gram lengths other than the default and at any worker count. Options
+// ClusterContext rejects are rejected here too.
+func TestAutoThresholdsContextMatchesClusterStats(t *testing.T) {
+	reads, _ := makePool(t, 33, 60, 110, 6, 0.06)
+	ctx := context.Background()
+	for _, mode := range []SignatureMode{QGram, WGram} {
+		for _, gramLen := range []int{3, 5} {
+			for _, workers := range []int{1, 4} {
+				opts := Options{Mode: mode, GramLen: gramLen, Workers: workers, Rounds: 2, Seed: 35}
+				t.Run(fmt.Sprintf("mode=%v/q=%d/workers=%d", mode, gramLen, workers), func(t *testing.T) {
+					low, high, hist, err := AutoThresholdsContext(ctx, reads, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(hist) == 0 {
+						t.Fatal("no histogram")
+					}
+					res, err := ClusterContext(ctx, reads, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if low != res.Stats.ThetaLow || high != res.Stats.ThetaHigh {
+						t.Fatalf("AutoThresholdsContext (%d,%d), ClusterContext Stats (%d,%d)",
+							low, high, res.Stats.ThetaLow, res.Stats.ThetaHigh)
+					}
+				})
+			}
+		}
+	}
+	if _, _, _, err := AutoThresholdsContext(ctx, reads, Options{GramLen: 9}); !errors.Is(err, ErrOptions) {
+		t.Fatalf("GramLen 9: err = %v, want ErrOptions", err)
 	}
 }

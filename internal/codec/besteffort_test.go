@@ -39,7 +39,7 @@ func corruptHeaderUnit(t *testing.T) (*Codec, []byte, []dna.Seq) {
 
 func TestCorruptHeaderStrictModeFails(t *testing.T) {
 	c, _, strands := corruptHeaderUnit(t)
-	_, _, err := c.DecodeFile(strands)
+	_, _, err := c.DecodeFileContext(context.Background(), strands, DecodeOptions{})
 	if !errors.Is(err, ErrDecode) {
 		t.Fatalf("err = %v, want ErrDecode", err)
 	}

@@ -133,8 +133,9 @@ func NewCodec(p Params) (*Codec, error) {
 		return nil, err
 	}
 	if p.K*p.PayloadBytes < headerBytes {
-		// DecodeFile reads a uint64 length header from the first unit; a
-		// geometry that cannot hold it would panic there on valid input.
+		// DecodeFileContext reads a uint64 length header from the first
+		// unit; a geometry that cannot hold it would panic there on valid
+		// input.
 		return nil, fmt.Errorf("codec: unit carries %d data bytes (K·PayloadBytes), need at least %d for the file header",
 			p.K*p.PayloadBytes, headerBytes)
 	}
@@ -169,14 +170,11 @@ func (c *Codec) InnerLen() int {
 	return c.p.IndexBases + c.p.PayloadBytes*dna.BasesPerByte
 }
 
-// maxMolecules is the number of distinct index values available.
-func (c *Codec) maxMolecules() uint64 { return maxMoleculesFor(c.p.IndexBases) }
-
 // MaxMolecules is the number of distinct molecule addresses IndexBases can
 // express. Callers provisioning a multi-volume archive should check
 // volumes·VolumeCapacity against it before encoding: the volume layer
 // assigns every volume a disjoint slice of this one address space.
-func (c *Codec) MaxMolecules() uint64 { return c.maxMolecules() }
+func (c *Codec) MaxMolecules() uint64 { return maxMoleculesFor(c.p.IndexBases) }
 
 func maxMoleculesFor(indexBases int) uint64 {
 	if indexBases >= 32 {
@@ -195,13 +193,19 @@ func (c *Codec) indexMask() uint64 {
 	if c.p.IndexSeed != 0 {
 		seed = c.p.IndexSeed
 	}
+	return c.indexMaskFrom(seed)
+}
+
+// indexMaskFrom derives an index mask from seed: one keystream word,
+// truncated to the index address space.
+func (c *Codec) indexMaskFrom(seed uint64) uint64 {
 	var b [8]byte
 	xrand.Keystream(seed^0x1db5_a2ca_7745_9f01, b[:])
 	var m uint64
 	for i, v := range b {
 		m |= uint64(v) << (8 * uint(i))
 	}
-	return m & (c.maxMolecules() - 1)
+	return m & (c.MaxMolecules() - 1)
 }
 
 // scramble XORs buf with the keystream for molecule idx (an involution).

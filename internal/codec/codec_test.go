@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -80,7 +81,7 @@ func TestEncodeDecodeRoundTripClean(t *testing.T) {
 			t.Fatalf("strand length %d", len(s))
 		}
 	}
-	got, rep, err := c.DecodeFile(strands)
+	got, rep, err := c.DecodeFileContext(context.Background(), strands, DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestRoundTripEmptyFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := c.DecodeFile(strands)
+	got, _, err := c.DecodeFileContext(context.Background(), strands, DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestRoundTripMultiUnit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := c.DecodeFile(strands)
+	got, _, err := c.DecodeFileContext(context.Background(), strands, DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestShuffledStrands(t *testing.T) {
 	strands, _ := c.EncodeFile(data)
 	rng := xrand.New(4)
 	rng.Shuffle(len(strands), func(i, j int) { strands[i], strands[j] = strands[j], strands[i] })
-	got, _, err := c.DecodeFile(strands)
+	got, _, err := c.DecodeFileContext(context.Background(), strands, DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestErasureTolerance(t *testing.T) {
 	strands, _ := c.EncodeFile(data)
 	// Drop 8 molecules of the first unit.
 	kept := append([]dna.Seq(nil), strands[8:]...)
-	got, rep, err := c.DecodeFile(kept)
+	got, rep, err := c.DecodeFileContext(context.Background(), kept, DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestTooManyErasuresBestEffort(t *testing.T) {
 	strands, _ := c.EncodeFile(data)
 	// Drop 9 > N-K molecules from unit 1; the header (unit 0) stays intact.
 	kept := append(append([]dna.Seq(nil), strands[:24]...), strands[33:]...)
-	got, rep, err := c.DecodeFile(kept)
+	got, rep, err := c.DecodeFileContext(context.Background(), kept, DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestHeaderUnitDestroyedIsError(t *testing.T) {
 	strands, _ := c.EncodeFile(data)
 	// Losing more than N-K molecules of unit 0 corrupts the length header,
 	// which must surface as an explicit error, not silent truncation.
-	if _, rep, err := c.DecodeFile(strands[9:]); err == nil && rep.Clean() {
+	if _, rep, err := c.DecodeFileContext(context.Background(), strands[9:], DecodeOptions{}); err == nil && rep.Clean() {
 		t.Fatal("destroyed header unit decoded cleanly")
 	}
 }
@@ -200,7 +201,7 @@ func TestSubstitutionErrorsCorrected(t *testing.T) {
 		pos := len(s) - 1 - i*4 // inside payload (no primers configured)
 		s[pos] ^= 1
 	}
-	got, rep, err := c.DecodeFile(strands)
+	got, rep, err := c.DecodeFileContext(context.Background(), strands, DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestDuplicateStrandsIgnored(t *testing.T) {
 	data := []byte("duplicates are fine")
 	strands, _ := c.EncodeFile(data)
 	strands = append(strands, strands[0].Clone(), strands[3].Clone())
-	got, rep, err := c.DecodeFile(strands)
+	got, rep, err := c.DecodeFileContext(context.Background(), strands, DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,7 @@ func TestWrongLengthStrandTreatedAsErasure(t *testing.T) {
 	data := []byte("length police")
 	strands, _ := c.EncodeFile(data)
 	strands[5] = strands[5][:len(strands[5])-3]
-	got, rep, err := c.DecodeFile(strands)
+	got, rep, err := c.DecodeFileContext(context.Background(), strands, DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +249,7 @@ func TestWrongLengthStrandTreatedAsErasure(t *testing.T) {
 
 func TestDecodeNoStrands(t *testing.T) {
 	c := mustCodec(t, testParams())
-	if _, _, err := c.DecodeFile(nil); err == nil {
+	if _, _, err := c.DecodeFileContext(context.Background(), nil, DecodeOptions{}); err == nil {
 		t.Fatal("expected error for empty input")
 	}
 }
@@ -301,7 +302,7 @@ func TestGiniRoundTrip(t *testing.T) {
 	c := mustCodec(t, p)
 	data := bytes.Repeat([]byte("gini layout"), 25)
 	strands, _ := c.EncodeFile(data)
-	got, rep, err := c.DecodeFile(strands)
+	got, rep, err := c.DecodeFileContext(context.Background(), strands, DecodeOptions{})
 	if err != nil || !rep.Clean() || !bytes.Equal(got, data) {
 		t.Fatalf("gini round trip failed: %v %v", rep, err)
 	}
@@ -313,7 +314,7 @@ func TestGiniErasures(t *testing.T) {
 	c := mustCodec(t, p)
 	data := bytes.Repeat([]byte{7}, 400)
 	strands, _ := c.EncodeFile(data)
-	got, rep, err := c.DecodeFile(strands[8:]) // max erasures in unit 0
+	got, rep, err := c.DecodeFileContext(context.Background(), strands[8:], DecodeOptions{}) // max erasures in unit 0
 	if err != nil || !rep.Clean() || !bytes.Equal(got, data) {
 		t.Fatalf("gini erasure decode failed: %v %v", rep, err)
 	}
@@ -377,7 +378,7 @@ func TestPrimersRoundTrip(t *testing.T) {
 			t.Fatal("reverse primer missing")
 		}
 	}
-	got, rep, err := c.DecodeFile(strands)
+	got, rep, err := c.DecodeFileContext(context.Background(), strands, DecodeOptions{})
 	if err != nil || !rep.Clean() || !bytes.Equal(got, data) {
 		t.Fatalf("primer round trip failed: %v %v", rep, err)
 	}
@@ -437,7 +438,7 @@ func TestMapperCodecRoundTrip(t *testing.T) {
 	c := mustCodec(t, p)
 	data := bytes.Repeat([]byte("priority mapped payload"), 40)
 	strands, _ := c.EncodeFile(data)
-	got, rep, err := c.DecodeFile(strands)
+	got, rep, err := c.DecodeFileContext(context.Background(), strands, DecodeOptions{})
 	if err != nil || !rep.Clean() || !bytes.Equal(got, data) {
 		t.Fatalf("mapper round trip failed: %v %v", rep, err)
 	}
@@ -484,7 +485,7 @@ func TestQuickRoundTripArbitraryData(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, rep, err := c.DecodeFile(strands)
+		got, rep, err := c.DecodeFileContext(context.Background(), strands, DecodeOptions{})
 		return err == nil && rep.Clean() && bytes.Equal(got, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -551,7 +552,7 @@ func BenchmarkDecodeFile64KB(b *testing.B) {
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := c.DecodeFile(strands); err != nil {
+		if _, _, err := c.DecodeFileContext(context.Background(), strands, DecodeOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -578,7 +579,7 @@ func TestGiniWithMapperAndPrimers(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Drop a few strands to exercise erasures through the composition too.
-	got, rep, err := c.DecodeFile(strands[5:])
+	got, rep, err := c.DecodeFileContext(context.Background(), strands[5:], DecodeOptions{})
 	if err != nil || !rep.Clean() || !bytes.Equal(got, data) {
 		t.Fatalf("composed decode failed: %v %v", rep, err)
 	}

@@ -30,9 +30,9 @@ func (c *Codec) EncodeFile(data []byte) ([]dna.Seq, error) {
 	framed := c.frame(data)
 	unitBytes := c.UnitDataBytes()
 	units := len(framed) / unitBytes
-	if need := c.p.IndexOffset + uint64(units)*uint64(c.p.N); need > c.maxMolecules() {
+	if need := c.p.IndexOffset + uint64(units)*uint64(c.p.N); need > c.MaxMolecules() {
 		return nil, fmt.Errorf("codec: file needs molecule indices up to %d but IndexBases=%d addresses only %d",
-			need, c.p.IndexBases, c.maxMolecules())
+			need, c.p.IndexBases, c.MaxMolecules())
 	}
 	mask := c.indexMask()
 	strands := make([]dna.Seq, 0, units*c.p.N)
@@ -98,26 +98,21 @@ type DecodeOptions struct {
 	BestEffort bool
 }
 
-// DecodeFile reassembles and error-corrects a file from reconstructed
-// strands (any order; duplicates, losses and wrong lengths tolerated up to
-// the code's correction capability). The Report describes the damage seen
-// and repaired; err is non-nil only when the file cannot be framed at all
-// (e.g. the first unit is unrecoverable). When some codewords exceed the
-// code's capability, DecodeFile still returns the best-effort bytes with
-// rep.FailedCodewords > 0, which is the behaviour DNAMapper's
-// corruption-tolerant data relies on.
-func (c *Codec) DecodeFile(strands []dna.Seq) ([]byte, Report, error) {
-	return c.DecodeFileContext(context.Background(), strands, DecodeOptions{})
-}
-
 // minPresentColumns is the fraction of a unit's molecules (1/denominator)
 // that must have been observed for the unit to count as real when the file
 // geometry is reconstructed without a trustworthy header (best-effort mode).
 // It keeps a single corrupt index from conjuring phantom trailing units.
 const minPresentColumnsDenom = 4
 
-// DecodeFileContext is DecodeFile with cooperative cancellation (checked
-// between units) and optional best-effort salvage. See DecodeOptions.
+// DecodeFileContext reassembles and error-corrects a file from
+// reconstructed strands (any order; duplicates, losses and wrong lengths
+// tolerated up to the code's correction capability). The Report describes
+// the damage seen and repaired; err is non-nil only when the file cannot be
+// framed at all (e.g. the first unit is unrecoverable). When some codewords
+// exceed the code's capability, DecodeFileContext still returns the
+// best-effort bytes with rep.FailedCodewords > 0, which is the behaviour
+// DNAMapper's corruption-tolerant data relies on. Cancellation is checked
+// between units; opts enables best-effort salvage (see DecodeOptions).
 func (c *Codec) DecodeFileContext(ctx context.Context, strands []dna.Seq, opts DecodeOptions) ([]byte, Report, error) {
 	var rep Report
 	rep.Strands = len(strands)
@@ -138,7 +133,7 @@ func (c *Codec) DecodeFileContext(ctx context.Context, strands []dna.Seq, opts D
 		// decoder works in file-relative indices so everything downstream
 		// (unit math, geometry reconstruction) is offset-agnostic. A strand
 		// from before this file's range is as unparsable as a garbage index.
-		if idx < c.p.IndexOffset || idx >= c.maxMolecules() {
+		if idx < c.p.IndexOffset || idx >= c.MaxMolecules() {
 			rep.UnparsableStrand++
 			continue
 		}

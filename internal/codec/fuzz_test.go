@@ -39,9 +39,9 @@ func FuzzDecodeFile(f *testing.F) {
 		if err != nil {
 			t.Fatalf("EncodeFile: %v", err)
 		}
-		out, rep, err := c.DecodeFile(strands)
+		out, rep, err := c.DecodeFileContext(context.Background(), strands, DecodeOptions{})
 		if err != nil {
-			t.Fatalf("DecodeFile of clean strands: %v", err)
+			t.Fatalf("DecodeFileContext of clean strands: %v", err)
 		}
 		if rep.FailedCodewords != 0 {
 			t.Fatalf("clean decode reported %d failed codewords", rep.FailedCodewords)
@@ -67,7 +67,7 @@ func FuzzDecodeFile(f *testing.F) {
 			}
 			garbage = append(garbage, s)
 		}
-		if _, _, err := c.DecodeFile(garbage); err == nil {
+		if _, _, err := c.DecodeFileContext(context.Background(), garbage, DecodeOptions{}); err == nil {
 			// Fine: garbage that happens to frame is acceptable, the
 			// property under test is absence of panics.
 			_ = err
@@ -79,9 +79,9 @@ func FuzzDecodeFile(f *testing.F) {
 		// Losing one molecule stays within the outer code's erasure
 		// capability, so the round trip must still be lossless.
 		if len(strands) > 1 {
-			out2, _, err := c.DecodeFile(strands[1:])
+			out2, _, err := c.DecodeFileContext(context.Background(), strands[1:], DecodeOptions{})
 			if err != nil {
-				t.Fatalf("DecodeFile with one missing strand: %v", err)
+				t.Fatalf("DecodeFileContext with one missing strand: %v", err)
 			}
 			if !bytes.Equal(out2, data) {
 				t.Fatalf("erasure round-trip mismatch")

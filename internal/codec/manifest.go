@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"path/filepath"
 )
 
 // The archive manifest is the durable root of a distributed archive: it is
@@ -227,40 +226,6 @@ func UnmarshalManifest(raw []byte) (*Manifest, error) {
 	return &m, nil
 }
 
-// WriteManifest durably writes the manifest to path: the framed bytes go to
-// a temporary file that is synced and atomically renamed into place, so a
-// crash mid-write leaves either the old manifest or none — never a torn one.
-func WriteManifest(path string, m *Manifest) (err error) {
-	raw, err := MarshalManifest(m)
-	if err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if err != nil {
-			f.Close()      //dnalint:allow errflow -- already failing; the close error cannot add information
-			os.Remove(tmp) //dnalint:allow errflow -- best-effort cleanup of the temp file on the failure path
-		}
-	}()
-	if _, err = f.Write(raw); err != nil {
-		return err
-	}
-	if err = f.Sync(); err != nil {
-		return err
-	}
-	if err = f.Close(); err != nil {
-		return err
-	}
-	if err = os.Rename(tmp, path); err != nil {
-		return err
-	}
-	return syncDir(filepath.Dir(path))
-}
-
 // ReadManifest reads and validates a framed manifest file.
 func ReadManifest(path string) (*Manifest, error) {
 	raw, err := os.ReadFile(path)
@@ -268,19 +233,4 @@ func ReadManifest(path string) (*Manifest, error) {
 		return nil, err
 	}
 	return UnmarshalManifest(raw)
-}
-
-// syncDir fsyncs a directory so a just-renamed file's directory entry is
-// durable. Filesystems that refuse to sync directories are tolerated: the
-// rename itself is still atomic, only its durability window grows.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close() //dnalint:allow errflow -- read-only directory handle: a close error cannot lose data
-	if err := d.Sync(); err != nil && !errors.Is(err, os.ErrInvalid) {
-		return err
-	}
-	return nil
 }

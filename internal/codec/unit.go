@@ -117,7 +117,7 @@ type UnitDamage struct {
 // Clean reports whether the unit decoded without uncorrectable codewords.
 func (u UnitDamage) Clean() bool { return u.FailedCodewords == 0 }
 
-// Report summarizes a DecodeFile run: how much damage arrived from the
+// Report summarizes a DecodeFileContext run: how much damage arrived from the
 // pipeline and how much of it the outer code absorbed.
 type Report struct {
 	Strands          int // reconstructed strands presented to the decoder

@@ -148,22 +148,19 @@ func (c *Codec) EncodeVolume(id uint32, volumeBytes int, data []byte) ([]dna.Seq
 }
 
 // parseVolumeHeader validates a decoded volume frame against the expected id
-// and the decoding codec's geometry.
+// and the decoding codec's geometry. A decoded volume too short to hold the
+// header is ErrVolumeHeader, not DecodeVolumeHeader's ErrVolumeTruncated:
+// DecodeVolumeContext's best-effort branch slices the payload after the
+// header on ErrVolumeTruncated.
 func (c *Codec) parseVolumeHeader(raw []byte, id uint32) (VolumeHeader, error) {
-	var h VolumeHeader
 	if len(raw) < VolumeHeaderBytes {
-		return h, fmt.Errorf("%w (%w): volume %d decoded to %d bytes, need %d for the header",
+		return VolumeHeader{}, fmt.Errorf("%w (%w): volume %d decoded to %d bytes, need %d for the header",
 			ErrVolumeHeader, ErrDecode, id, len(raw), VolumeHeaderBytes)
 	}
-	if [5]byte(raw[:5]) != volumeMagic {
-		return h, fmt.Errorf("%w (%w): volume %d magic %x, want %x", ErrVolumeHeader, ErrDecode, id, raw[:5], volumeMagic)
+	h, err := DecodeVolumeHeader(raw)
+	if err != nil {
+		return h, fmt.Errorf("volume %d: %w", id, err)
 	}
-	h.N = int(binary.BigEndian.Uint16(raw[6:]))
-	h.K = int(binary.BigEndian.Uint16(raw[8:]))
-	h.PayloadBytes = int(binary.BigEndian.Uint16(raw[10:]))
-	h.ID = binary.BigEndian.Uint32(raw[12:])
-	h.PayloadLen = binary.BigEndian.Uint64(raw[16:])
-	h.CRC = binary.BigEndian.Uint32(raw[24:])
 	if h.ID != id {
 		return h, fmt.Errorf("%w (%w): strands frame volume %d, expected %d", ErrVolumeHeader, ErrDecode, h.ID, id)
 	}
@@ -317,22 +314,12 @@ func (c *Codec) ReadVolumeID(read dna.Seq, capacity uint64) (uint32, bool) {
 	if len(read) < skip+c.p.IndexBases {
 		return 0, false
 	}
-	idx := dna.DecodeUint(read[skip:skip+c.p.IndexBases]) ^ c.volumeIndexMask()
-	if idx >= c.maxMolecules() {
+	// The archive-wide mask every volume codec shares: computed from the
+	// base codec's archive index seed, so demux can unmask prefixes without
+	// constructing a volume codec first.
+	idx := dna.DecodeUint(read[skip:skip+c.p.IndexBases]) ^ c.indexMaskFrom(c.archiveIndexSeed())
+	if idx >= c.MaxMolecules() {
 		return 0, false
 	}
 	return uint32(idx / capacity), true
-}
-
-// volumeIndexMask is the archive-wide index mask shared by every volume
-// codec: the base codec computes it from its archive index seed so demux can
-// unmask prefixes without constructing a volume codec first.
-func (c *Codec) volumeIndexMask() uint64 {
-	var b [8]byte
-	xrand.Keystream(c.archiveIndexSeed()^0x1db5_a2ca_7745_9f01, b[:])
-	var m uint64
-	for i, v := range b {
-		m |= uint64(v) << (8 * uint(i))
-	}
-	return m & (c.maxMolecules() - 1)
 }

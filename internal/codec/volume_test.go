@@ -39,7 +39,7 @@ func TestEncodeFileUnchangedByNewParams(t *testing.T) {
 			t.Fatalf("strand %d parsed to index %d; zero IndexOffset must keep indices dense from 0", i, idx)
 		}
 	}
-	got, rep, err := c.DecodeFile(strands)
+	got, rep, err := c.DecodeFileContext(context.Background(), strands, DecodeOptions{})
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("round trip failed: err=%v clean=%v", err, rep.Clean())
 	}
@@ -283,6 +283,38 @@ func TestDecodeVolumeTruncatedTail(t *testing.T) {
 	}
 	if !bytes.Equal(data, payload) {
 		t.Fatalf("salvaged %d bytes, want the %d available payload bytes", len(data), len(payload))
+	}
+}
+
+func TestDecodeVolumeBadHeader(t *testing.T) {
+	// A volume that decodes to fewer bytes than the frame header, or to a
+	// frame without the DVOL magic, fails with ErrVolumeHeader in both
+	// modes: only ErrVolumeTruncated lets best effort salvage the bytes
+	// after the header, and a short volume has none.
+	c := testVolumeCodec(t)
+	const volumeBytes = 200
+	vc, err := c.VolumeCodec(0, volumeBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		framed []byte
+	}{
+		{"shorter than the header", []byte("short")},
+		{"foreign magic", bytes.Repeat([]byte{0xEE}, VolumeHeaderBytes+10)},
+	} {
+		strands, err := vc.EncodeFile(tc.framed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, best := range []bool{false, true} {
+			_, data, _, err := c.DecodeVolumeContext(context.Background(), 0, volumeBytes, strands, DecodeOptions{BestEffort: best})
+			if !errors.Is(err, ErrVolumeHeader) || !errors.Is(err, ErrDecode) || data != nil {
+				t.Fatalf("%s (best effort %v): got %d bytes, %v; want no bytes and ErrVolumeHeader wrapping ErrDecode",
+					tc.name, best, len(data), err)
+			}
+		}
 	}
 }
 

@@ -172,7 +172,7 @@ type Pipeline struct {
 	// Metrics, when set, is the observability sink: every run (batch,
 	// stream, or per-volume) accumulates its per-stage counters into it,
 	// and hooks registered on it (obs.Registry.OnEvent) fire at every
-	// stage boundary — chaos.PanicHook rides these. Run and RunStream
+	// stage boundary — chaos.PanicHook rides these. RunContext and RunStream
 	// record into a private registry and publish it in one merge at the
 	// end, so their Stages stay exact under a shared sink; EncodeVolumes
 	// and DecodeVolume record straight into Metrics. Nil disables
@@ -205,7 +205,7 @@ func New(c *codec.Codec, simOpts sim.Options, clusterOpts cluster.Options, algo 
 	}
 }
 
-// Result reports everything a Run produced.
+// Result reports everything a RunContext call produced.
 type Result struct {
 	// Data is the recovered file contents.
 	Data []byte
@@ -251,23 +251,17 @@ type RunOptions struct {
 	// recoverable byte with Report.Partial set and Report.Units mapping the
 	// damaged regions, and a nil error, instead of failing. Callers must
 	// consult Result.Report before trusting the data. Only when no attempt
-	// salvages anything does Run still return an error, with the last
+	// salvages anything does RunContext still return an error, with the last
 	// attempt's report.
 	BestEffort bool
 }
 
-// Run pushes data through the full pipeline and returns the recovered file
-// with per-stage statistics. A non-nil error means the file could not be
-// recovered at all; partial corruption is reported via Result.Report.
-// Run is RunContext with a background context.
-func (p *Pipeline) Run(data []byte, opts RunOptions) (Result, error) {
-	return p.RunContext(context.Background(), data, opts)
-}
-
-// RunContext is Run under a context: cancelling ctx (or exceeding its
-// deadline) aborts the pipeline promptly with an error matching
-// ErrCancelled, and RunOptions.StageTimeout adds a per-stage deadline on
-// top. A stage that panics on the orchestrator's goroutine is contained and
+// RunContext pushes data through the full pipeline and returns the
+// recovered file with per-stage statistics. A non-nil error means the file
+// could not be recovered at all; partial corruption is reported via
+// Result.Report. Cancelling ctx (or exceeding its deadline) aborts the
+// pipeline promptly with an error matching ErrCancelled, and
+// RunOptions.StageTimeout adds a per-stage deadline on top. A stage that panics on the orchestrator's goroutine is contained and
 // surfaced as ErrStagePanic; panics inside the built-in worker pools are
 // salvaged even closer to the fault (see sim.SimulatePoolContext,
 // recon.ReconstructAllContext and cluster.ClusterContext) and degrade the

@@ -42,7 +42,7 @@ func TestEndToEndRoundTrip(t *testing.T) {
 		"This payload spans multiple encoding units to exercise indexing across units as well.")
 	for _, algo := range []recon.Algorithm{recon.BMA{}, recon.DoubleSidedBMA{}, recon.NW{}} {
 		p := testPipeline(t, algo, 0.03, 10)
-		res, err := p.Run(data, RunOptions{})
+		res, err := p.RunContext(context.Background(), data, RunOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", algo.Name(), err)
 		}
@@ -57,7 +57,7 @@ func TestEndToEndAtSixPercent(t *testing.T) {
 	// absorb remaining reconstruction mistakes.
 	data := bytes.Repeat([]byte("dna storage toolkit!"), 20)
 	p := testPipeline(t, recon.NW{}, 0.06, 10)
-	res, err := p.Run(data, RunOptions{})
+	res, err := p.RunContext(context.Background(), data, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestEndToEndAtSixPercent(t *testing.T) {
 func TestResultCounts(t *testing.T) {
 	data := []byte("counts")
 	p := testPipeline(t, recon.DoubleSidedBMA{}, 0.03, 8)
-	res, err := p.Run(data, RunOptions{})
+	res, err := p.RunContext(context.Background(), data, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestResultStagesMatchMetrics(t *testing.T) {
 			stages = res.Stages
 			want = []string{stageEncode, stageSimulate, stageDemux, stageCluster, stageReconstruct, stageDecode}
 		} else {
-			res, err := p.Run(data, RunOptions{})
+			res, err := p.RunContext(context.Background(), data, RunOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,7 +124,7 @@ func TestResultStagesMatchMetrics(t *testing.T) {
 
 func TestNotConfigured(t *testing.T) {
 	p := &Pipeline{}
-	if _, err := (p).Run(nil, RunOptions{}); err != ErrNotConfigured {
+	if _, err := p.RunContext(context.Background(), nil, RunOptions{}); err != ErrNotConfigured {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -136,7 +136,7 @@ func TestDropoutWithinErasureBudget(t *testing.T) {
 		sim.Options{Channel: sim.CalibratedIID(0.03), Coverage: sim.FixedCoverage(10), Dropout: 0.08, Seed: 17},
 		cluster.Options{Seed: 19},
 		recon.NW{})
-	res, err := p.Run(data, RunOptions{})
+	res, err := p.RunContext(context.Background(), data, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestWetlabReplayViaFASTQ(t *testing.T) {
 		Clusterer:     OptionsClusterer{Options: cluster.Options{Seed: 25}},
 		Reconstructor: AlgorithmReconstructor{Algorithm: recon.NW{}},
 	}
-	res, err := p.Run(nil, RunOptions{})
+	res, err := p.RunContext(context.Background(), nil, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestModuleSwappability(t *testing.T) {
 		cluster.Options{Seed: 29},
 		nil)
 	p.Reconstructor = firstReadReconstructor{}
-	res, err := p.Run(data, RunOptions{})
+	res, err := p.RunContext(context.Background(), data, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,12 +246,12 @@ func TestMinClusterSizeFiltersAllAtLowCoverage(t *testing.T) {
 		sim.Options{Channel: sim.CalibratedIID(0.01), Coverage: sim.FixedCoverage(2), Seed: 35},
 		cluster.Options{Seed: 37},
 		recon.NW{})
-	ok, err := p.Run(data, RunOptions{})
+	ok, err := p.RunContext(context.Background(), data, RunOptions{})
 	if err != nil || !bytes.Equal(ok.Data, data) {
 		t.Fatalf("baseline at coverage 2 failed: %v %v", ok.Report, err)
 	}
 	p.Reconstructor = garbageReconstructor{}
-	res, err := p.Run(data, RunOptions{Retries: 4})
+	res, err := p.RunContext(context.Background(), data, RunOptions{Retries: 4})
 	if err == nil {
 		t.Fatal("dropping every cluster still decoded")
 	}

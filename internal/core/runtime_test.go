@@ -66,7 +66,7 @@ func TestPanickingChannelDoesNotCrashRun(t *testing.T) {
 		sim.Options{Channel: ch, Coverage: sim.FixedCoverage(10), Seed: 101},
 		cluster.Options{Seed: 103},
 		recon.NW{})
-	res, err := p.Run(data, RunOptions{})
+	res, err := p.RunContext(context.Background(), data, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestPanickingAlgorithmDoesNotCrashRun(t *testing.T) {
 		sim.Options{Channel: sim.CalibratedIID(0.01), Coverage: sim.FixedCoverage(10), Seed: 107},
 		cluster.Options{Seed: 109},
 		algo)
-	res, err := p.Run(data, RunOptions{})
+	res, err := p.RunContext(context.Background(), data, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func (panicReconstructor) ReconstructAll(context.Context, [][]dna.Seq, int) ([]d
 func TestStagePanicBecomesTypedError(t *testing.T) {
 	p := testPipeline(t, recon.NW{}, 0.01, 6)
 	p.Reconstructor = panicReconstructor{}
-	_, err := p.Run([]byte("contained"), RunOptions{})
+	_, err := p.RunContext(context.Background(), []byte("contained"), RunOptions{})
 	if !errors.Is(err, ErrStagePanic) {
 		t.Fatalf("err = %v, want ErrStagePanic", err)
 	}
@@ -164,7 +164,7 @@ func TestStageTimeout(t *testing.T) {
 	p := testPipeline(t, recon.NW{}, 0.01, 6)
 	p.Simulator = blockingSimulator{}
 	start := time.Now()
-	_, err := p.Run([]byte("deadline"), RunOptions{StageTimeout: 50 * time.Millisecond})
+	_, err := p.RunContext(context.Background(), []byte("deadline"), RunOptions{StageTimeout: 50 * time.Millisecond})
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("stage timeout took %v", elapsed)
 	}
@@ -234,7 +234,7 @@ func TestRetryFloorRecovers(t *testing.T) {
 	p.Simulator = starvedThirdSimulator{seed: 151}
 	p.Reconstructor = singleReadSaboteur{}
 
-	first, err := p.Run(data, RunOptions{})
+	first, err := p.RunContext(context.Background(), data, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestRetryFloorRecovers(t *testing.T) {
 		t.Fatalf("attempt 0 alone decoded the file (%v); the retry has nothing to show", first.Report)
 	}
 
-	res, err := p.Run(data, RunOptions{Retries: 1})
+	res, err := p.RunContext(context.Background(), data, RunOptions{Retries: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestRetryFloorRecovers(t *testing.T) {
 func TestRetriesExhaustedTypedError(t *testing.T) {
 	p := testPipeline(t, recon.NW{}, 0.01, 8)
 	p.Reconstructor = garbageReconstructor{}
-	_, err := p.Run([]byte("hopeless"), RunOptions{Retries: 2})
+	_, err := p.RunContext(context.Background(), []byte("hopeless"), RunOptions{Retries: 2})
 	if !errors.Is(err, ErrRetriesExhausted) {
 		t.Fatalf("err = %v, want ErrRetriesExhausted", err)
 	}
@@ -271,13 +271,13 @@ func TestRetriesExhaustedTypedError(t *testing.T) {
 
 func TestNoUsableClustersReportsAccurately(t *testing.T) {
 	// Degenerate edge: a run with no reads leaves attempt 0 no cluster to
-	// reconstruct. Run must return the typed error AND a populated report
-	// (every molecule missing), whatever the retry count.
+	// reconstruct. RunContext must return the typed error AND a populated
+	// report (every molecule missing), whatever the retry count.
 	data := []byte("no reads at all")
 	p := testPipeline(t, recon.NW{}, 0.01, 2)
 	p.Simulator = ReadsSource{}
 	for _, retries := range []int{0, 2} {
-		res, err := p.Run(data, RunOptions{Retries: retries})
+		res, err := p.RunContext(context.Background(), data, RunOptions{Retries: retries})
 		if !errors.Is(err, ErrNoUsableClusters) {
 			t.Fatalf("retries %d: err = %v, want ErrNoUsableClusters", retries, err)
 		}
@@ -310,7 +310,7 @@ func TestRetryKeepingNoClusterKeepsAttemptZero(t *testing.T) {
 	// for ErrNoUsableClusters.
 	data := bytes.Repeat([]byte("dna storage toolkit!"), 20)
 	p := testPipeline(t, recon.DoubleSidedBMA{}, 0.02, 1)
-	base, err := p.Run(data, RunOptions{})
+	base, err := p.RunContext(context.Background(), data, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestRetryKeepingNoClusterKeepsAttemptZero(t *testing.T) {
 		t.Fatalf("attempt 0 decoded cleanly (%v); the case needs failed codewords", base.Report)
 	}
 	for _, best := range []bool{false, true} {
-		res, err := p.Run(data, RunOptions{Retries: 1, BestEffort: best})
+		res, err := p.RunContext(context.Background(), data, RunOptions{Retries: 1, BestEffort: best})
 		if err != nil {
 			t.Fatalf("best effort %v: %v", best, err)
 		}
@@ -352,12 +352,12 @@ func TestRetriesNeverWorseThanNone(t *testing.T) {
 					recon.DoubleSidedBMA{})
 				for _, best := range []bool{false, true} {
 					name := fmt.Sprintf("seed %d rate %v coverage %d best effort %v", seed, rate, coverage, best)
-					base, err := p.Run(data, RunOptions{BestEffort: best})
+					base, err := p.RunContext(context.Background(), data, RunOptions{BestEffort: best})
 					if err != nil {
 						continue // Retries 0 returned no data: nothing to compare
 					}
 					for _, retries := range []int{1, 2} {
-						res, err := p.Run(data, RunOptions{Retries: retries, BestEffort: best})
+						res, err := p.RunContext(context.Background(), data, RunOptions{Retries: retries, BestEffort: best})
 						if err != nil {
 							t.Fatalf("%s: Retries %d failed (%v) where Retries 0 returned data", name, retries, err)
 						}
@@ -394,9 +394,9 @@ func (u unitDroppingSimulator) Simulate(ctx context.Context, strands []dna.Seq) 
 }
 
 func TestDamageMapLocalizesLostUnit(t *testing.T) {
-	// Destroy all of unit 1's molecules. Run still returns the readable
-	// bytes; the damage map must flag exactly unit 1, and the bytes of the
-	// intact units must be bit-exact.
+	// Destroy all of unit 1's molecules. RunContext still returns the
+	// readable bytes; the damage map must flag exactly unit 1, and the bytes
+	// of the intact units must be bit-exact.
 	c := testCodec(t, nil)
 	unitBytes := c.UnitDataBytes()
 	data := bytes.Repeat([]byte("0123456789abcdef"), (3*unitBytes-8)/16) // ~3 units
@@ -410,7 +410,7 @@ func TestDamageMapLocalizesLostUnit(t *testing.T) {
 		Clusterer:     OptionsClusterer{Options: cluster.Options{Seed: 137}},
 		Reconstructor: AlgorithmReconstructor{Algorithm: recon.NW{}},
 	}
-	res, err := p.Run(data, RunOptions{})
+	res, err := p.RunContext(context.Background(), data, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +444,7 @@ func TestShardedClustererInPipeline(t *testing.T) {
 		Clusterer:     ShardedClusterer{Options: cluster.Options{Seed: 149}, Shards: 4},
 		Reconstructor: AlgorithmReconstructor{Algorithm: recon.NW{}},
 	}
-	res, err := p.Run(data, RunOptions{})
+	res, err := p.RunContext(context.Background(), data, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -322,7 +322,7 @@ func TestStreamMatchesBatchPerVolume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rep, err := vc.DecodeFile(strands)
+	_, rep, err := vc.DecodeFileContext(context.Background(), strands, codec.DecodeOptions{})
 	if err != nil || !rep.Clean() {
 		t.Fatalf("volume strands are not a plain encoded file: %v %s", err, rep)
 	}

@@ -5,12 +5,12 @@
 // edit distance, and its cost is exactly why the clustering module works so
 // hard to avoid computing it (§VI-A).
 //
-// The kernels come in two forms. The package-level functions allocate their
-// DP tables per call and are convenient for one-off comparisons. Hot paths —
-// clustering confirmation, the straggler sweep, threshold calibration — run
-// millions of comparisons, so they thread a Scratch through instead: the
-// Scratch owns flat backing arrays that are grown once and reused across
-// calls, taking the per-comparison allocation count to zero after warmup.
+// Every kernel is a method on Scratch, which owns flat backing arrays that
+// are grown once and reused across calls. Hot paths — clustering
+// confirmation, the straggler sweep, threshold calibration — run millions
+// of comparisons and keep one Scratch per worker, taking the per-comparison
+// allocation count to zero after warmup; a one-off comparison declares a
+// zero Scratch.
 //
 // Two kernel families implement the distance: the classic DP (LevenshteinDP,
 // WithinDP — the reference implementation) and the bit-parallel Myers
@@ -61,16 +61,9 @@ func (s *Scratch) table(n int) []int {
 
 // Levenshtein returns the edit distance between a and b: the minimum number
 // of single-base insertions, deletions and substitutions transforming one
-// into the other.
-func Levenshtein(a, b dna.Seq) int {
-	var s Scratch
-	return s.Levenshtein(a, b)
-}
-
-// Levenshtein is the scratch-reusing form of the package-level Levenshtein;
-// results are bit-identical. It dispatches to the bit-parallel kernel,
-// which beats the row DP at every length (64 cells per word-step); the DP
-// stays reachable as LevenshteinDP.
+// into the other. It dispatches to the bit-parallel kernel, which beats the
+// row DP at every length (64 cells per word-step); the DP stays reachable
+// as LevenshteinDP.
 //
 //dnalint:hotpath
 func (s *Scratch) Levenshtein(a, b dna.Seq) int {
@@ -119,16 +112,10 @@ func (s *Scratch) LevenshteinDP(a, b dna.Seq) int {
 // Within reports whether the edit distance between a and b is at most k, and
 // returns the distance when it is. This is what makes edit-distance
 // confirmation during clustering affordable: the kernel never does the full
-// quadratic work when the answer is "not within".
-func Within(a, b dna.Seq, k int) (int, bool) {
-	var s Scratch
-	return s.Within(a, b, k)
-}
-
-// Within is the scratch-reusing form of the package-level Within; results
-// are bit-identical. It dispatches between the banded DP (narrow bands,
-// tiny inputs) and the thresholded bit-parallel kernel (everything else);
-// the two return identical distances and verdicts on every input.
+// quadratic work when the answer is "not within". It dispatches between the
+// banded DP (narrow bands, tiny inputs) and the thresholded bit-parallel
+// kernel (everything else); the two return identical distances and verdicts
+// on every input.
 //
 //dnalint:hotpath
 func (s *Scratch) Within(a, b dna.Seq, k int) (int, bool) {
@@ -259,16 +246,10 @@ func (o Op) String() string {
 // edit costs (match 0, substitution/indel 1) and returns the operation
 // sequence along with the total cost. The cost equals Levenshtein(a, b).
 // Ties are broken to prefer Match/Sub over indels, which concentrates gaps
-// and matches how wetlab error profiles are usually tabulated.
-func Align(a, b dna.Seq) ([]Op, int) {
-	var s Scratch
-	return s.Align(a, b)
-}
-
-// Align is the scratch-reusing form of the package-level Align; results are
-// bit-identical. The returned op slice is backed by the scratch and is only
-// valid until the next Align call on the same Scratch; callers that need to
-// retain it across calls must copy it.
+// and matches how wetlab error profiles are usually tabulated. The returned
+// op slice is backed by the scratch and is only valid until the next Align
+// call on the same Scratch; callers that need to retain it across calls
+// must copy it.
 func (s *Scratch) Align(a, b dna.Seq) ([]Op, int) {
 	la, lb := len(a), len(b)
 	// Full DP table for traceback; clustering only aligns short reads so the

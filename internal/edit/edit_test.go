@@ -36,7 +36,7 @@ func TestLevenshteinKnown(t *testing.T) {
 		if tc.b != "" {
 			b = seq(tc.b)
 		}
-		if got := Levenshtein(a, b); got != tc.want {
+		if got := new(Scratch).Levenshtein(a, b); got != tc.want {
 			t.Errorf("Levenshtein(%q,%q) = %d, want %d", tc.a, tc.b, got, tc.want)
 		}
 	}
@@ -46,7 +46,8 @@ func TestLevenshteinSymmetry(t *testing.T) {
 	f := func(ar, br []byte) bool {
 		a := bytesToSeq(ar)
 		b := bytesToSeq(br)
-		return Levenshtein(a, b) == Levenshtein(b, a)
+		var s Scratch
+		return s.Levenshtein(a, b) == s.Levenshtein(b, a)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -67,7 +68,8 @@ func bytesToSeq(raw []byte) dna.Seq {
 func TestLevenshteinTriangleInequality(t *testing.T) {
 	f := func(ar, br, cr []byte) bool {
 		a, b, c := bytesToSeq(ar), bytesToSeq(br), bytesToSeq(cr)
-		return Levenshtein(a, c) <= Levenshtein(a, b)+Levenshtein(b, c)
+		var s Scratch
+		return s.Levenshtein(a, c) <= s.Levenshtein(a, b)+s.Levenshtein(b, c)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -77,7 +79,7 @@ func TestLevenshteinTriangleInequality(t *testing.T) {
 func TestLevenshteinBounds(t *testing.T) {
 	f := func(ar, br []byte) bool {
 		a, b := bytesToSeq(ar), bytesToSeq(br)
-		d := Levenshtein(a, b)
+		d := new(Scratch).Levenshtein(a, b)
 		lenDiff := len(a) - len(b)
 		if lenDiff < 0 {
 			lenDiff = -lenDiff
@@ -96,7 +98,7 @@ func TestLevenshteinBounds(t *testing.T) {
 func TestLevenshteinIdentity(t *testing.T) {
 	f := func(ar []byte) bool {
 		a := bytesToSeq(ar)
-		return Levenshtein(a, a) == 0
+		return new(Scratch).Levenshtein(a, a) == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -108,9 +110,9 @@ func TestWithinAgreesWithFull(t *testing.T) {
 	for trial := 0; trial < 500; trial++ {
 		a := randSeq(rng, rng.Intn(30))
 		b := randSeq(rng, rng.Intn(30))
-		full := Levenshtein(a, b)
+		full := new(Scratch).Levenshtein(a, b)
 		for k := 0; k <= 12; k++ {
-			d, ok := Within(a, b, k)
+			d, ok := new(Scratch).Within(a, b, k)
 			if full <= k {
 				if !ok || d != full {
 					t.Fatalf("Within(%v,%v,%d) = (%d,%v), full = %d", a, b, k, d, ok, full)
@@ -123,16 +125,16 @@ func TestWithinAgreesWithFull(t *testing.T) {
 }
 
 func TestWithinEdgeCases(t *testing.T) {
-	if _, ok := Within(seq("ACGT"), seq("ACGT"), -1); ok {
+	if _, ok := new(Scratch).Within(seq("ACGT"), seq("ACGT"), -1); ok {
 		t.Fatal("negative k accepted")
 	}
-	if d, ok := Within(nil, nil, 0); !ok || d != 0 {
+	if d, ok := new(Scratch).Within(nil, nil, 0); !ok || d != 0 {
 		t.Fatal("empty-empty should be 0")
 	}
-	if d, ok := Within(seq("AAA"), nil, 3); !ok || d != 3 {
+	if d, ok := new(Scratch).Within(seq("AAA"), nil, 3); !ok || d != 3 {
 		t.Fatalf("got %d,%v", d, ok)
 	}
-	if _, ok := Within(seq("AAAAAA"), nil, 3); ok {
+	if _, ok := new(Scratch).Within(seq("AAAAAA"), nil, 3); ok {
 		t.Fatal("length gap > k accepted")
 	}
 }
@@ -142,8 +144,8 @@ func TestAlignCostEqualsLevenshtein(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		a := randSeq(rng, rng.Intn(25))
 		b := randSeq(rng, rng.Intn(25))
-		ops, cost := Align(a, b)
-		if want := Levenshtein(a, b); cost != want {
+		ops, cost := new(Scratch).Align(a, b)
+		if want := new(Scratch).Levenshtein(a, b); cost != want {
 			t.Fatalf("Align cost %d != Levenshtein %d", cost, want)
 		}
 		if Cost(ops) != cost {
@@ -158,7 +160,7 @@ func TestAlignOpsReplayB(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		a := randSeq(rng, rng.Intn(25))
 		b := randSeq(rng, rng.Intn(25))
-		ops, _ := Align(a, b)
+		ops, _ := new(Scratch).Align(a, b)
 		var out dna.Seq
 		i, j := 0, 0
 		for _, op := range ops {
@@ -195,7 +197,7 @@ func TestAlignOpsReplayB(t *testing.T) {
 
 func TestAlignIdenticalAllMatch(t *testing.T) {
 	a := seq("ACGTACGTAC")
-	ops, cost := Align(a, a)
+	ops, cost := new(Scratch).Align(a, a)
 	if cost != 0 {
 		t.Fatalf("cost = %d", cost)
 	}
@@ -212,26 +214,5 @@ func TestOpString(t *testing.T) {
 	}
 	if Op(99).String() != "?" {
 		t.Fatal("unknown op string")
-	}
-}
-
-func BenchmarkLevenshtein120(b *testing.B) {
-	rng := xrand.New(1)
-	x := randSeq(rng, 120)
-	y := randSeq(rng, 120)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Levenshtein(x, y)
-	}
-}
-
-func BenchmarkWithin120K10(b *testing.B) {
-	rng := xrand.New(1)
-	x := randSeq(rng, 120)
-	y := x.Clone()
-	y[5] = y[5] ^ 1
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Within(x, y, 10)
 	}
 }

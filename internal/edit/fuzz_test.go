@@ -30,13 +30,13 @@ func FuzzLevenshtein(f *testing.F) {
 	f.Add([]byte("GATTACA"), []byte("GCATGCT"), byte(10))
 	f.Fuzz(func(t *testing.T, rawA, rawB []byte, kb byte) {
 		a, b := fuzzSeq(rawA), fuzzSeq(rawB)
-		d := Levenshtein(a, b)
-		if rev := Levenshtein(b, a); rev != d {
+		d := new(Scratch).Levenshtein(a, b)
+		if rev := new(Scratch).Levenshtein(b, a); rev != d {
 			t.Fatalf("asymmetric distance: d(a,b)=%d d(b,a)=%d", d, rev)
 		}
 
 		k := int(kb)
-		if got, ok := Within(a, b, k); ok {
+		if got, ok := new(Scratch).Within(a, b, k); ok {
 			if got != d {
 				t.Fatalf("Within(k=%d) = %d, full DP says %d", k, got, d)
 			}
@@ -47,7 +47,7 @@ func FuzzLevenshtein(f *testing.F) {
 			t.Fatalf("Within(k=%d) said no, full DP says %d", k, d)
 		}
 
-		ops, cost := Align(a, b)
+		ops, cost := new(Scratch).Align(a, b)
 		if cost != d {
 			t.Fatalf("Align cost %d != Levenshtein %d", cost, d)
 		}

@@ -52,14 +52,7 @@ func bpWithinProfitable(la, lb, k int) bool {
 }
 
 // LevenshteinBP is the bit-parallel edit distance: identical to
-// Levenshtein's DP result, at O(⌈min/64⌉·max) word operations.
-func LevenshteinBP(a, b dna.Seq) int {
-	var s Scratch
-	return s.LevenshteinBP(a, b)
-}
-
-// LevenshteinBP is the scratch-reusing form of the package-level
-// LevenshteinBP; results are identical to LevenshteinDP.
+// LevenshteinDP's result, at O(⌈min/64⌉·max) word operations.
 //
 //dnalint:hotpath
 func (s *Scratch) LevenshteinBP(a, b dna.Seq) int {
@@ -84,15 +77,8 @@ func (s *Scratch) LevenshteinBP(a, b dna.Seq) int {
 
 // WithinBP reports whether the edit distance between a and b is at most k,
 // returning the distance when it is — the bit-parallel counterpart of
-// Within, with identical results on every input. It tracks the running
+// WithinDP, with identical results on every input. It tracks the running
 // bottom-row score and stops as soon as the distance provably exceeds k.
-func WithinBP(a, b dna.Seq, k int) (int, bool) {
-	var s Scratch
-	return s.WithinBP(a, b, k)
-}
-
-// WithinBP is the scratch-reusing form of the package-level WithinBP;
-// results are identical to WithinDP.
 //
 //dnalint:hotpath
 func (s *Scratch) WithinBP(a, b dna.Seq, k int) (int, bool) {

@@ -124,16 +124,16 @@ func TestMyers128MatchesBlocked(t *testing.T) {
 
 // TestWithinBPNegativeK pins the prefilter parity with WithinDP.
 func TestWithinBPNegativeK(t *testing.T) {
-	if _, ok := WithinBP(seq("ACGT"), seq("ACGT"), -1); ok {
+	if _, ok := new(Scratch).WithinBP(seq("ACGT"), seq("ACGT"), -1); ok {
 		t.Fatal("negative k accepted")
 	}
-	if d, ok := WithinBP(nil, nil, 0); !ok || d != 0 {
+	if d, ok := new(Scratch).WithinBP(nil, nil, 0); !ok || d != 0 {
 		t.Fatal("empty-empty should be (0, true)")
 	}
-	if d, ok := WithinBP(seq("AAA"), nil, 3); !ok || d != 3 {
+	if d, ok := new(Scratch).WithinBP(seq("AAA"), nil, 3); !ok || d != 3 {
 		t.Fatalf("got %d,%v", d, ok)
 	}
-	if _, ok := WithinBP(seq("AAAAAA"), nil, 3); ok {
+	if _, ok := new(Scratch).WithinBP(seq("AAAAAA"), nil, 3); ok {
 		t.Fatal("length gap > k accepted")
 	}
 }

@@ -14,15 +14,15 @@ import (
 func TestWithinHugeThresholdClamped(t *testing.T) {
 	a := seq("ACGTACGTACGT")
 	b := seq("ACGTTCGTACG")
-	want := Levenshtein(a, b)
+	want := new(Scratch).Levenshtein(a, b)
 	for _, k := range []int{1 << 30, 1<<30 + 7, 1 << 20, len(a) + 1} {
-		d, ok := Within(a, b, k)
+		d, ok := new(Scratch).Within(a, b, k)
 		if !ok || d != want {
 			t.Fatalf("Within(k=%d) = (%d,%v), want (%d,true)", k, d, ok, want)
 		}
 	}
 	// Empty sides with a huge k exercise the pre-band early returns.
-	if d, ok := Within(nil, b, 1<<30); !ok || d != len(b) {
+	if d, ok := new(Scratch).Within(nil, b, 1<<30); !ok || d != len(b) {
 		t.Fatalf("Within(nil,b,1<<30) = (%d,%v)", d, ok)
 	}
 	var s Scratch
@@ -55,17 +55,17 @@ func TestScratchReuseMatchesFreshCalls(t *testing.T) {
 		pairs = append(pairs, [2]dna.Seq{a, b})
 		for _, p := range pairs {
 			a, b := p[0], p[1]
-			if got, want := s.Levenshtein(a, b), Levenshtein(a, b); got != want {
+			if got, want := s.Levenshtein(a, b), new(Scratch).Levenshtein(a, b); got != want {
 				t.Fatalf("Scratch.Levenshtein(%v,%v) = %d, want %d", a, b, got, want)
 			}
 			k := rng.Intn(20)
 			gd, gok := s.Within(a, b, k)
-			wd, wok := Within(a, b, k)
+			wd, wok := new(Scratch).Within(a, b, k)
 			if gd != wd || gok != wok {
 				t.Fatalf("Scratch.Within(%v,%v,%d) = (%d,%v), want (%d,%v)", a, b, k, gd, gok, wd, wok)
 			}
 			gops, gc := s.Align(a, b)
-			wops, wc := Align(a, b)
+			wops, wc := new(Scratch).Align(a, b)
 			if gc != wc || len(gops) != len(wops) {
 				t.Fatalf("Scratch.Align(%v,%v) cost %d/%d ops %d/%d", a, b, gc, wc, len(gops), len(wops))
 			}

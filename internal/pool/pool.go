@@ -110,20 +110,15 @@ type PCROptions struct {
 	Seed uint64
 }
 
-// Access performs PCR random access on the pool: the molecules of the file
-// addressed by pair are amplified and sequenced, and reads of other files
-// leak in according to the primer distance. Reads are returned with their
-// origin file's index in Files() order, for evaluation; production decoding
-// uses only the sequences. Access is AccessContext with a background context.
-func (p *Pool) Access(pair primer.Pair, opts PCROptions) ([]sim.Read, error) {
-	return p.AccessContext(context.Background(), pair, opts)
-}
-
-// AccessContext is Access with cooperative cancellation: the amplification
-// loop polls ctx between molecules, so a cancelled or deadline-exceeded
-// context aborts a large pool access promptly with the context's cause
-// instead of sequencing to completion. Cancellation does not perturb the
-// read stream: a run that completes yields exactly the reads Access would.
+// AccessContext performs PCR random access on the pool: the molecules of
+// the file addressed by pair are amplified and sequenced, and reads of other
+// files leak in according to the primer distance. Reads are returned with
+// their origin file's index in Files() order, for evaluation; production
+// decoding uses only the sequences. The amplification loop polls ctx
+// between molecules, so a cancelled or deadline-exceeded context aborts a
+// large pool access promptly with the context's cause instead of
+// sequencing to completion. Cancellation does not perturb the read stream:
+// a run that completes yields the same reads whatever the context.
 func (p *Pool) AccessContext(ctx context.Context, pair primer.Pair, opts PCROptions) ([]sim.Read, error) {
 	if opts.Channel == nil {
 		return nil, errors.New("pool: PCROptions.Channel is required")

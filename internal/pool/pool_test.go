@@ -85,7 +85,7 @@ func TestStoreCopiesStrands(t *testing.T) {
 		t.Fatal(err)
 	}
 	strands[0][0] ^= 1 // caller mutates its copy
-	reads, err := p.Access(pairs[0], PCROptions{Channel: sim.NewIIDChannel(0, 0, 0), Coverage: 1, Seed: 1})
+	reads, err := p.AccessContext(context.Background(), pairs[0], PCROptions{Channel: sim.NewIIDChannel(0, 0, 0), Coverage: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestAccessAmplifiesOnlyTarget(t *testing.T) {
 		}
 		strandCount = append(strandCount, len(strands))
 	}
-	reads, err := p.Access(pairs[1], PCROptions{
+	reads, err := p.AccessContext(context.Background(), pairs[1], PCROptions{
 		Channel:  sim.CalibratedIID(0.02),
 		Coverage: 12,
 		Seed:     3,
@@ -147,7 +147,7 @@ func TestRandomAccessEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	reads, err := p.Access(pairs[1], PCROptions{
+	reads, err := p.AccessContext(context.Background(), pairs[1], PCROptions{
 		Channel:  sim.CalibratedIID(0.03),
 		Coverage: 12,
 		Seed:     5,
@@ -171,7 +171,7 @@ func TestRandomAccessEndToEnd(t *testing.T) {
 		Clusterer:     core.OptionsClusterer{Options: cluster.Options{Seed: 7}},
 		Reconstructor: core.AlgorithmReconstructor{Algorithm: recon.NW{}},
 	}
-	res, err := pipe.Run(nil, core.RunOptions{})
+	res, err := pipe.RunContext(context.Background(), nil, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,10 +183,10 @@ func TestRandomAccessEndToEnd(t *testing.T) {
 func TestAccessValidation(t *testing.T) {
 	var p Pool
 	pairs := designPairs(t, 1)
-	if _, err := p.Access(pairs[0], PCROptions{}); err == nil {
+	if _, err := p.AccessContext(context.Background(), pairs[0], PCROptions{}); err == nil {
 		t.Fatal("missing channel accepted")
 	}
-	reads, err := p.Access(pairs[0], PCROptions{Channel: sim.CalibratedIID(0.01)})
+	reads, err := p.AccessContext(context.Background(), pairs[0], PCROptions{Channel: sim.CalibratedIID(0.01)})
 	if err != nil || len(reads) != 0 {
 		t.Fatalf("empty pool access: %v %v", reads, err)
 	}
@@ -207,22 +207,25 @@ func TestAccessContextCancellation(t *testing.T) {
 		t.Fatalf("cancelled access returned %v, want context.Canceled", err)
 	}
 
-	// A run that completes must match Access exactly: the context plumbing
-	// cannot perturb the deterministic read stream.
-	want, err := p.Access(pairs[0], opts)
+	// A run under a live, cancellable context must match one under
+	// context.Background exactly: the context plumbing cannot perturb the
+	// deterministic read stream.
+	want, err := p.AccessContext(context.Background(), pairs[0], opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := p.AccessContext(context.Background(), pairs[0], opts)
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
+	got, err := p.AccessContext(live, pairs[0], opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) {
-		t.Fatalf("AccessContext yielded %d reads, Access %d", len(got), len(want))
+		t.Fatalf("a cancellable context yielded %d reads, context.Background %d", len(got), len(want))
 	}
 	for i := range got {
 		if !got[i].Seq.Equal(want[i].Seq) || got[i].Origin != want[i].Origin {
-			t.Fatalf("read %d differs between Access and AccessContext", i)
+			t.Fatalf("read %d differs between a cancellable context and context.Background", i)
 		}
 	}
 }

@@ -150,8 +150,8 @@ func scoreEnds(read dna.Seq, p Pair, tol int) int {
 	if len(read) < fl+rl {
 		return 1 << 20
 	}
-	head := read[:minInt(len(read), fl+tol)]
-	tail := read[maxInt(0, len(read)-rl-tol):]
+	head := read[:min(len(read), fl+tol)]
+	tail := read[max(0, len(read)-rl-tol):]
 	return prefixDist(head, p.Forward, tol) + prefixDist(tail.Reverse(), p.Reverse.Reverse(), tol)
 }
 
@@ -167,8 +167,9 @@ func prefixDist(window, primer dna.Seq, tol int) int {
 	if hi > len(window) {
 		hi = len(window)
 	}
+	var es edit.Scratch
 	for cut := lo; cut <= hi; cut++ {
-		if d, ok := edit.Within(window[:cut], primer, tol); ok && d < best {
+		if d, ok := es.Within(window[:cut], primer, tol); ok && d < best {
 			best = d
 		}
 	}
@@ -201,6 +202,7 @@ func Trim(read dna.Seq, p Pair, tol int) (dna.Seq, bool) {
 	if len(read) < fl+rl {
 		return nil, false
 	}
+	var es edit.Scratch
 	// Find the forward primer's end: the cut in [fl-tol, fl+tol] whose
 	// prefix best matches the primer.
 	bestCut, bestD := -1, tol+1
@@ -208,7 +210,7 @@ func Trim(read dna.Seq, p Pair, tol int) (dna.Seq, bool) {
 		if cut < 0 {
 			continue
 		}
-		if d, ok := edit.Within(read[:cut], p.Forward, tol); ok && d < bestD {
+		if d, ok := es.Within(read[:cut], p.Forward, tol); ok && d < bestD {
 			bestD, bestCut = d, cut
 		}
 	}
@@ -222,7 +224,7 @@ func Trim(read dna.Seq, p Pair, tol int) (dna.Seq, bool) {
 		if cut < 0 {
 			continue
 		}
-		if d, ok := edit.Within(read[len(read)-cut:], p.Reverse, tol); ok && d < bestD {
+		if d, ok := es.Within(read[len(read)-cut:], p.Reverse, tol); ok && d < bestD {
 			bestD, bestCut = d, cut
 		}
 	}
@@ -253,18 +255,4 @@ func Identify(read dna.Seq, library []Pair, tol int) (int, dna.Seq) {
 		}
 	}
 	return bestIdx, bestSeq
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -67,7 +67,7 @@ type Algorithm interface {
 //dnalint:scratch
 type Scratch struct {
 	graph    *align.Graph
-	edit     edit.Scratch
+	es       edit.Scratch
 	ptr      []int
 	future   []dna.Base
 	insBuf   dna.Seq
@@ -399,11 +399,9 @@ type NW struct{}
 func (NW) Name() string { return "needleman-wunsch" }
 
 // Reconstruct implements Algorithm.
-func (NW) Reconstruct(reads []dna.Seq, targetLen int) dna.Seq {
-	if degenerate(reads, targetLen) {
-		return nil
-	}
-	return align.Consensus(reads, targetLen)
+func (n NW) Reconstruct(reads []dna.Seq, targetLen int) dna.Seq {
+	var sc Scratch
+	return n.ReconstructScratch(&sc, reads, targetLen)
 }
 
 // ReconstructScratch implements ScratchReconstructor: consensus goes through
@@ -422,9 +420,13 @@ func (NW) ReconstructScratch(sc *Scratch, reads []dna.Seq, targetLen int) dna.Se
 // the expensive one when verification fails. The BMA consensus is accepted
 // when it reaches the full target length and every non-empty read lies
 // within MaxDist edits of it (checked with the thresholded bit-parallel
-// Within kernel, which bails early on disagreeing reads). Easy low-noise
-// clusters — the overwhelming majority at realistic error rates — never pay
-// the O(nodes·m) graph alignment.
+// Within kernel, which bails early on disagreeing reads). Clusters that
+// pass never pay the O(nodes·m) graph alignment; how many pass depends on
+// the noise. In one batch run at 492 nt, 0.1 % IID error and coverage 3,
+// 12 of 11 664 clusters went to POA (0.1 %). At the Table III point (128 nt,
+// 6 % IID error, Poisson coverage 10) 7 294 of 10 047 did (73 %): the
+// default radius there, max(3, 128/12) = 10 edits, is close to the 7.7
+// edits a read carries on average.
 //
 // The output is bit-identical to whichever algorithm the dispatch selected:
 // accepted clusters return exactly BMA's consensus, rejected ones exactly
@@ -499,7 +501,7 @@ func (a Adaptive) agrees(sc *Scratch, reads []dna.Seq, cons dna.Seq, targetLen i
 		if len(r) == 0 {
 			continue
 		}
-		if _, ok := sc.edit.Within(r, cons, k); !ok {
+		if _, ok := sc.es.Within(r, cons, k); !ok {
 			return false
 		}
 	}

@@ -155,7 +155,7 @@ func FuzzReconDispatch(f *testing.F) {
 			ref := align.NewGraph()
 			ref.SetReferenceDP(true)
 			refCons := ref.ConsensusOf(reads, targetLen)
-			if fast := align.Consensus(reads, targetLen); !fast.Equal(refCons) {
+			if fast := align.NewGraph().ConsensusOf(reads, targetLen); !fast.Equal(refCons) {
 				t.Fatalf("windowed alignment consensus diverges from DP\n got=%v\nwant=%v", fast, refCons)
 			}
 

@@ -165,11 +165,12 @@ func MeasureErrorRate(pairs []Pair) float64 {
 		return 0
 	}
 	total := 0.0
+	var es edit.Scratch
 	for _, p := range pairs {
 		if len(p.Clean) == 0 {
 			continue
 		}
-		total += float64(edit.Levenshtein(p.Clean, p.Noisy)) / float64(len(p.Clean))
+		total += float64(es.Levenshtein(p.Clean, p.Noisy)) / float64(len(p.Clean))
 	}
 	return total / float64(len(pairs))
 }

@@ -74,12 +74,13 @@ func TrainProfile(pairs []Pair, buckets int) *LearnedProfile {
 	var delRuns, delTotal, insRuns, insTotal float64
 	var insBases, stutterBases float64
 	var rates []float64
+	var es edit.Scratch
 
 	for _, pr := range pairs {
 		if len(pr.Clean) == 0 {
 			continue
 		}
-		ops, dist := edit.Align(pr.Clean, pr.Noisy)
+		ops, dist := es.Align(pr.Clean, pr.Noisy)
 		rates = append(rates, float64(dist)/float64(len(pr.Clean)))
 		bucketOf := func(i int) int {
 			b := i * buckets / len(pr.Clean)

@@ -35,6 +35,7 @@ func TestRNNTransmitProducesPlausibleReads(t *testing.T) {
 	model, _ := TrainRNN(pairs, RNNConfig{Hidden: 20, Embed: 8, Epochs: 14, Seed: 66})
 	rng := xrand.New(67)
 	closeEnough := 0
+	var es edit.Scratch
 	const trials = 20
 	for i := 0; i < trials; i++ {
 		s := strands[i]
@@ -42,7 +43,7 @@ func TestRNNTransmitProducesPlausibleReads(t *testing.T) {
 		if len(read) == 0 {
 			continue
 		}
-		if edit.Levenshtein(read, s) <= len(s)/2 {
+		if es.Levenshtein(read, s) <= len(s)/2 {
 			closeEnough++
 		}
 	}

@@ -105,11 +105,12 @@ func TestSOLQCSubstitutionBias(t *testing.T) {
 	for i := range s {
 		s[i] = dna.A
 	}
+	var es edit.Scratch
 	for trial := 0; trial < 200; trial++ {
 		got := ch.Transmit(rng, s)
 		// Count substituted bases among equal-length prefix positions; use
 		// alignment to be robust to the channel's indels.
-		ops, _ := edit.Align(s, got)
+		ops, _ := es.Align(s, got)
 		j := 0
 		for _, op := range ops {
 			switch op {
@@ -134,8 +135,9 @@ func TestReferenceWetlabPositionRamp(t *testing.T) {
 	pairs := GeneratePairs(12, ch, strands, 2)
 	// Tabulate per-position (first vs last third) error events via alignment.
 	var headErr, tailErr, headOpp, tailOpp float64
+	var es edit.Scratch
 	for _, pr := range pairs {
-		ops, _ := edit.Align(pr.Clean, pr.Noisy)
+		ops, _ := es.Align(pr.Clean, pr.Noisy)
 		i := 0
 		for _, op := range ops {
 			isErr := op != edit.Match
@@ -173,8 +175,9 @@ func TestReferenceWetlabOverdispersion(t *testing.T) {
 	strands := randStrands(13, 400, 110)
 	pairs := GeneratePairs(14, ch, strands, 1)
 	var rates []float64
+	var es edit.Scratch
 	for _, p := range pairs {
-		rates = append(rates, float64(edit.Levenshtein(p.Clean, p.Noisy))/float64(len(p.Clean)))
+		rates = append(rates, float64(es.Levenshtein(p.Clean, p.Noisy))/float64(len(p.Clean)))
 	}
 	mean, variance := meanVar(rates)
 	binomial := mean / 110
@@ -334,8 +337,9 @@ func TestTrainProfileLearnsPositionRamp(t *testing.T) {
 
 func headTailRates(pairs []Pair) (float64, float64) {
 	var headErr, tailErr, headOpp, tailOpp float64
+	var es edit.Scratch
 	for _, pr := range pairs {
-		ops, _ := edit.Align(pr.Clean, pr.Noisy)
+		ops, _ := es.Align(pr.Clean, pr.Noisy)
 		i := 0
 		for _, op := range ops {
 			pos := i
