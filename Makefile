@@ -44,17 +44,18 @@ lint:
 # (30 s each); CI runs this as a smoke test, local fuzzing can go longer
 # with e.g. `go test ./internal/rs -fuzz FuzzRSDecode -fuzztime 10m`.
 # FuzzDecodeFile's and FuzzDecodeVolume's inputs run a whole file or volume
-# decode (a read set of kilobytes for FuzzDecodeVolume), and
-# FuzzReconDispatch's run every reconstruction kernel and its reference on
-# one cluster, so minimizing each new input is capped at 100 runs; uncapped,
-# minimizing stalls the exec count for much of the 30 s.
+# decode (a read set of kilobytes for FuzzDecodeVolume), FuzzReconDispatch's
+# run every reconstruction kernel and its reference on one cluster, and
+# FuzzLevenshtein's run Levenshtein both ways, Within and Align on one pair, so
+# minimizing each new input is capped at 100 runs; uncapped, minimizing
+# stalls the exec count for much of the 30 s.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test ./internal/rs -run '^$$' -fuzz '^FuzzRSDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/codec -run '^$$' -fuzz '^FuzzDecodeFile$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
 	$(GO) test ./internal/codec -run '^$$' -fuzz '^FuzzManifestDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fastq -run '^$$' -fuzz '^FuzzFastqParse$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/edit -run '^$$' -fuzz '^FuzzLevenshtein$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/edit -run '^$$' -fuzz '^FuzzLevenshtein$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
 	$(GO) test ./internal/edit -run '^$$' -fuzz '^FuzzMyersVsDP$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzSigDistance$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/recon -run '^$$' -fuzz '^FuzzReconDispatch$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x

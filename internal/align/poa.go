@@ -595,19 +595,18 @@ func (g *Graph) Rows() []string {
 }
 
 // keptColumn is one column surviving the majority filter, carrying enough
-// context for the §VII-C indel trim and for mapping back to the source column.
+// context for the §VII-C indel trim.
 type keptColumn struct {
 	base dna.Base
 	gaps int
-	idx  int // index into the Columns() slice
+	idx  int // index into the Columns() slice; breaks gap-count ties
 }
 
 // consensusKeep applies the majority filter and the §VII-C indel-heavy trim
 // to alignment columns: columns where gaps outnumber every base are dropped,
 // and if targetLen > 0 and more than targetLen columns survive, the excess
 // columns with the highest gap counts are omitted (ties resolved by column
-// index, so the result is deterministic). Both Consensus and ConsensusColumns
-// go through here, so "kept columns" means the same thing everywhere.
+// index, so the result is deterministic).
 func consensusKeep(cols []Column, targetLen int) []keptColumn {
 	var keep []keptColumn
 	for i, c := range cols {
@@ -655,23 +654,6 @@ func (g *Graph) Consensus(targetLen int) dna.Seq {
 		out[i] = k.base
 	}
 	return out
-}
-
-// ConsensusColumns returns the consensus and, parallel to it base-for-base,
-// the alignment columns that produced it — i.e. the columns that survived the
-// majority filter and the §VII-C indel trim. Confidence metrics must be
-// computed over these kept columns, not over Columns(), which still includes
-// every trimmed indel-heavy column (see recon.ConsensusWithConfidence).
-func (g *Graph) ConsensusColumns(targetLen int) (dna.Seq, []Column) {
-	cols := g.Columns()
-	keep := consensusKeep(cols, targetLen)
-	out := make(dna.Seq, len(keep))
-	keptCols := make([]Column, len(keep))
-	for i, k := range keep {
-		out[i] = k.base
-		keptCols[i] = cols[k.idx]
-	}
-	return out, keptCols
 }
 
 // ConsensusOf resets the graph, aligns all reads into it and returns the

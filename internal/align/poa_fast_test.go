@@ -110,42 +110,6 @@ func TestBandedAcceptsCleanRead(t *testing.T) {
 	}
 }
 
-// TestConsensusColumnsParallel pins the ConsensusColumns contract: the
-// returned columns are parallel to the consensus base-for-base, each column's
-// majority is the base at that position, and the sequence equals Consensus.
-func TestConsensusColumnsParallel(t *testing.T) {
-	rng := xrand.New(80)
-	for trial := 0; trial < 20; trial++ {
-		ref := dna.Random(rng, 30+rng.Intn(90))
-		var reads []dna.Seq
-		for i := 0; i < 3+rng.Intn(7); i++ {
-			reads = append(reads, mutate(rng, ref, 0.08))
-		}
-		g := NewGraph()
-		for _, r := range reads {
-			g.AddSequence(r)
-		}
-		seq, cols := g.ConsensusColumns(len(ref))
-		if !seq.Equal(g.Consensus(len(ref))) {
-			t.Fatalf("trial %d: ConsensusColumns sequence differs from Consensus", trial)
-		}
-		if len(cols) != len(seq) {
-			t.Fatalf("trial %d: %d columns for %d consensus bases", trial, len(cols), len(seq))
-		}
-		for i, c := range cols {
-			b, ok := c.Majority()
-			if !ok || b != seq[i] {
-				t.Fatalf("trial %d: column %d majority %v/%v does not produce consensus base %v", trial, i, b, ok, seq[i])
-			}
-		}
-		// The kept columns are a subset of all columns; with noisy reads the
-		// full column list is at least as long.
-		if all := g.Columns(); len(all) < len(cols) {
-			t.Fatalf("trial %d: kept %d columns out of %d", trial, len(cols), len(all))
-		}
-	}
-}
-
 // TestReferenceDPToggle pins SetReferenceDP: the toggle routes through the
 // exhaustive kernel (observable only through identical results, so this just
 // guards the plumbing against inversion).

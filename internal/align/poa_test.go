@@ -136,6 +136,20 @@ func TestTargetLenTrimming(t *testing.T) {
 	}
 }
 
+// TestConsensusOfTrimsPrivateInsertion: one read of five carries a 12-base
+// insertion of its own. The trim drops those columns, and ConsensusOf returns
+// the reference.
+func TestConsensusOfTrimsPrivateInsertion(t *testing.T) {
+	rng := xrand.New(44)
+	ref := dna.Random(rng, 60)
+	insert := dna.Random(rng, 12)
+	outlier := append(ref[:30:30].Clone(), append(insert, ref[30:]...)...)
+	reads := []dna.Seq{ref.Clone(), ref.Clone(), ref.Clone(), ref.Clone(), outlier}
+	if got := NewGraph().ConsensusOf(reads, len(ref)); !got.Equal(ref) {
+		t.Fatalf("consensus = %v, want the reference", got)
+	}
+}
+
 func TestRowsShape(t *testing.T) {
 	ref := seq("ACGTAC")
 	del := append(ref[:2:2].Clone(), ref[3:]...)

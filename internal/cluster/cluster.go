@@ -142,10 +142,15 @@ type Stats struct {
 	EditDistanceCalls int
 	Merges            int
 	CheapMerges       int // merges decided by signature distance alone
-	SignatureTime     time.Duration
-	ClusterTime       time.Duration // total minus signature computation
-	ThetaLow          int
-	ThetaHigh         int
+	// SweepRecomputes counts the straggler sweep's exact mean-signature
+	// distances: the candidates its screen could not place in or out of the
+	// edit-checked list, plus the ties at the winning edit distance. It does
+	// not depend on the worker count.
+	SweepRecomputes int
+	SignatureTime   time.Duration
+	ClusterTime     time.Duration // total minus signature computation
+	ThetaLow        int
+	ThetaHigh       int
 	// Spilled counts reads the streaming demux could not route to any volume
 	// (index prefix corrupt, out of range, or read shorter than the prefix).
 	// Spilled reads are excluded from clustering but never silently dropped:
@@ -161,6 +166,7 @@ func (s *Stats) Add(o Stats) {
 	s.EditDistanceCalls += o.EditDistanceCalls
 	s.Merges += o.Merges
 	s.CheapMerges += o.CheapMerges
+	s.SweepRecomputes += o.SweepRecomputes
 	s.SignatureTime += o.SignatureTime
 	s.ClusterTime += o.ClusterTime
 	s.Spilled += o.Spilled

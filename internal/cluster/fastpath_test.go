@@ -415,6 +415,38 @@ func TestRoundRunnerZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestSweepPassZeroAlloc extends the pin to the straggler sweep: once warm, a
+// single-worker sweep pass allocates nothing. The pool, 720 reads at 6 %
+// error, leaves stragglers after the rounds; warming runs the pass to its
+// fixpoint, so every measured pass sees the same clusters.
+func TestSweepPassZeroAlloc(t *testing.T) {
+	for _, mode := range []SignatureMode{QGram, WGram} {
+		reads, _ := makePool(t, 113, 120, 110, 6, 0.06)
+		o, err := Options{Mode: mode, ThetaLow: 2, ThetaHigh: 18, EditThreshold: 14, Workers: 1, Seed: 11}.withDefaults()
+		if err != nil {
+			t.Fatal(err)
+		}
+		uf := newUnionFind(len(reads))
+		var stats Stats
+		editScr := make([]edit.Scratch, 1)
+		rr := newRoundRunner(t.Context(), reads, uf, o, o.ThetaLow, o.ThetaHigh, editScr, &stats)
+		rng := xrand.New(o.Seed)
+		for round := 0; round < o.Rounds; round++ {
+			rr.runRound(rng, round)
+		}
+		for pass := 0; pass < 8 && rr.runSweepPass(0) > 0; pass++ {
+		}
+		calls := stats.EditDistanceCalls
+		rr.runSweepPass(0)
+		if calls == stats.EditDistanceCalls {
+			t.Fatalf("mode=%v: the sweep pass evaluated no straggler", mode)
+		}
+		if n := testing.AllocsPerRun(10, func() { rr.runSweepPass(0) }); n > 0 {
+			t.Errorf("mode=%v: steady-state runSweepPass allocates %.1f/op", mode, n)
+		}
+	}
+}
+
 // BenchmarkClusterStage times the full clustering call on 600 strands ×
 // coverage 8 = 4800 reads of ~110 bases, fast path vs reference.
 func BenchmarkClusterStage(b *testing.B) {

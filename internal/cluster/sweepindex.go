@@ -9,16 +9,18 @@
 //  1. a screen pass accumulates, per candidate cluster j, the algebraic
 //     decomposition of the mean distance over only the grams the straggler
 //     actually contains (weighted postings), yielding an approximate
-//     distance d̃_j whose only divergence from the exact value is float
-//     summation order;
-//  2. a bounded max-heap finds the limit-th smallest d̃, and every candidate
-//     within a fixed margin of it survives — an order-statistics argument
-//     (see sweepScreenMargin) proves the survivors are a superset of the
-//     exact top-limit list;
-//  3. survivors get the exact reference meanDistance (same kernel, same
-//     float order) and the reference (distance, index) sort, so the
-//     edit-checked candidate sequence — and therefore every merge and every
-//     Stats counter — is bit-identical to the reference sweep.
+//     distance d̃_j whose only divergence from the exact value d_j is float
+//     summation order, so |d̃_j − d_j| ≤ ε for a per-mode rounding bound ε
+//     (see sweepEps);
+//  2. a bounded max-heap finds T₀, the limit-th smallest d̃;
+//  3. a candidate with d̃ < T₀ − 2ε is in the reference's exact top-limit
+//     list, one with d̃ > T₀ + 2ε is out, and only the band between gets the
+//     exact reference meanDistance; a (distance, index) sort of the band
+//     fills the list's remaining slots. The sweep edit-checks every member
+//     of the list, so beyond the band exact distances matter only for ties
+//     at the winning edit distance, and those are computed lazily. The
+//     edit-checked set and the chosen candidate — and therefore every merge
+//     and every Stats counter — equal the reference sweep's.
 //
 // The decompositions are exact in real arithmetic. QGram: with presence set
 // P of the straggler and m⁺ = max(mean, 0),
@@ -42,17 +44,48 @@ import (
 	"dnastore/internal/exec"
 )
 
-// sweepScreenMargin is added to the limit-th smallest approximate distance
-// to form the screen threshold. The approximate and exact distances differ
-// only by float32 summation order; with ≤ 3·numGrams terms each bounded by
-// wgramCap the reassociation error is far below 1.0, and the margin covers
-// it with an order of magnitude to spare. Soundness: if d_j is within the
-// exact top-limit then d_j ≤ d_(limit), and since every candidate satisfies
-// |d̃ − d| ≤ ε the limit-th smallest approximate distance T₀ is at least
-// d_(limit) − ε, giving d̃_j ≤ d_j + ε ≤ T₀ + 2ε ≤ T₀ + margin. A margin
-// that is too generous only grows the exact-recompute set, never changes
-// the result.
-const sweepScreenMargin = 4.0
+// sweepGrams is the sweep's gram count: triple the per-round count, since
+// the sweep ranks every cluster and needs the sharper signature.
+const sweepGrams = 3 * numGrams
+
+// The screen's rounding bound ε: |d̃ − d| ≤ ε for every candidate, where d
+// is meanDistance's float32 result and d̃ the screen's. Both sum the same
+// float32 terms in a different order and grouping, and a float32 sum of n
+// terms, in any order, lies within γₙ·Σ|xᵢ| of the real sum, with
+// γₙ = n·u/(1−n·u) and u = 2⁻²⁴ (Higham, "Accuracy and Stability of
+// Numerical Algorithms", §4.2). Here n = sweepGrams = 144.
+//
+// QGram: the terms |sig − m⁺| lie in [0, 1], and meanDistance's own
+// subtraction is one of each term's n roundings, so d is within γₙ·n of the
+// real R = |P| + base − 2W. The screen's base and W are sums of at most n
+// terms in [0, 1], each within γₙ·n, and W enters twice; the screen's last
+// two roundings, of values below 2n+2, add 2u·(2n+2). Hence
+// ε_Q = 4γₙ·n + 4u·(n+1) ≈ 4.98·10⁻³.
+//
+// WGram: the terms (drifts capped at wgramCap, and wgramCap for a gram
+// present on one side only) lie in [0, wgramCap] and are the same float32
+// values in both forms. meanDistance adds them in gram order; the screen adds
+// the co-present drifts and then the exact wgramCap·(|P| + M − 2·shared).
+// Each is within γₙ·n·wgramCap of the real sum, so ε_W = 2γₙ·n·wgramCap ≈
+// 0.0593.
+//
+// γₙ counts n roundings where a sum of n terms has n − 1; the slack, over
+// 10⁻⁵ in either mode, covers the float64 rounding (below 10⁻¹²) of the band
+// edges T₀ ± 2ε.
+const (
+	f32Unit    = 1.0 / (1 << 24)
+	sweepGamma = sweepGrams * f32Unit / (1 - sweepGrams*f32Unit)
+	sweepEpsQ  = 4*sweepGamma*sweepGrams + 4*f32Unit*(sweepGrams+1)
+	sweepEpsW  = 2 * sweepGamma * sweepGrams * wgramCap
+)
+
+// sweepEps returns the screen's rounding bound ε for mode.
+func sweepEps(mode SignatureMode) float64 {
+	if mode == QGram {
+		return sweepEpsQ
+	}
+	return sweepEpsW
+}
 
 // sweepSigReads bounds how many members contribute to a cluster's averaged
 // sweep signature: the mean denoises individual read errors, and a handful
@@ -65,6 +98,22 @@ type sweepCand struct {
 	j int
 	d float32
 }
+
+// candLess is the reference's candidate order: distance, then index.
+func candLess(a, b sweepCand) bool {
+	if a.d != b.d {
+		return a.d < b.d
+	}
+	return a.j < b.j
+}
+
+// candSlice sorts candidates by candLess. The pointer receiver keeps the
+// sort.Interface conversion allocation-free.
+type candSlice []sweepCand
+
+func (p *candSlice) Len() int           { return len(*p) }
+func (p *candSlice) Less(i, j int) bool { return candLess((*p)[i], (*p)[j]) }
+func (p *candSlice) Swap(i, j int)      { (*p)[i], (*p)[j] = (*p)[j], (*p)[i] }
 
 // sweepWorker is one worker's reusable straggler-sweep state. Slot w is
 // touched only by worker w (exec.ParallelForW), never shared.
@@ -81,6 +130,8 @@ type sweepWorker struct {
 	dtil   []float32 // per-candidate approximate distance
 	heap   []float32 // bounded max-heap of the smallest approximations
 	cands  []sweepCand
+	band   []sweepCand // candidates within 2ε of T₀, with exact distances
+	ties   []int32     // cands indices at the best edit distance so far
 }
 
 // sweepIndex is the shared (build-once-per-pass) state of the indexed sweep:
@@ -107,8 +158,9 @@ type sweepIndex struct {
 	base    []float32 // QGram: Σ_g m⁺ per candidate
 	presCnt []int32   // WGram: present-gram count per candidate
 
-	bestJ     []int32 // straggler outputs: chosen dense root, -1 none
-	editCalls []int32
+	bestJ      []int32 // straggler outputs: chosen dense root, -1 none
+	editCalls  []int32
+	recomputes []int32 // exact meanDistance calls: band plus lazy ties
 
 	ws          []sweepWorker
 	meanItemFn  func(w, i int)
@@ -123,11 +175,44 @@ func ensureFloat32(s *[]float32, n int) []float32 {
 	return *s
 }
 
+// meanRow returns cluster j's averaged signature, nil when its row is not
+// valid (the reference's missing signature).
+func (sw *sweepIndex) meanRow(j int) []float32 {
+	if !sw.meanOK[j] {
+		return nil
+	}
+	G := len(sw.gs.set.grams)
+	return sw.meanBuf[j*G : (j+1)*G]
+}
+
 // runSweepPass executes one straggler-sweep pass on the fast path: identical
 // merges, edit-distance calls and Stats to the reference sweep
 // (reference_test.go), via the indexed candidate screen. Returns the number
 // of merges applied.
 func (rr *roundRunner) runSweepPass(pass uint64) int {
+	nr := rr.prepareSweep(pass)
+	sw := &rr.sweep
+	exec.ParallelForW(rr.ctx, rr.o.Workers, nr, sw.stragItemFn)
+
+	// Serial apply in straggler order, exactly like the reference.
+	applied := 0
+	for i := 0; i < nr; i++ {
+		rr.stats.EditDistanceCalls += int(sw.editCalls[i])
+		rr.stats.SweepRecomputes += int(sw.recomputes[i])
+		if j := sw.bestJ[i]; j >= 0 {
+			if rr.uf.union(int(rr.roots[i]), int(rr.roots[j])) {
+				rr.stats.Merges++
+				applied++
+			}
+		}
+	}
+	return applied
+}
+
+// prepareSweep builds pass's sweep index over the current clusters and
+// presets every straggler's outputs to "no merge", so skipped or panicked
+// items change nothing. Returns the cluster count.
+func (rr *roundRunner) prepareSweep(pass uint64) int {
 	o := rr.o
 	nr := rr.buildState()
 	sw := &rr.sweep
@@ -150,9 +235,9 @@ func (rr *roundRunner) runSweepPass(pass uint64) int {
 	}
 	sw.small = small
 
-	// Sweep grams: triple the per-round count, fresh per pass, drawn from
-	// the same derived stream as the reference.
-	G := 3 * numGrams
+	// Sweep grams, fresh per pass, drawn from the same derived stream as the
+	// reference.
+	G := sweepGrams
 	rr.gsRng.ReseedDerive(o.Seed, 0x5feeb+pass)
 	sw.gs.fill(&rr.gsRng, o.Mode, G, o.GramLen)
 
@@ -176,28 +261,15 @@ func (rr *roundRunner) runSweepPass(pass uint64) int {
 	// Postings over the averaged signatures (serial, O(nr·G)).
 	sw.buildPostings(nr, o.Mode, G)
 
-	// Stragglers, in parallel; outputs pre-set to "no merge" so skipped or
-	// panicked items change nothing.
 	sw.bestJ = ensureInt32(&sw.bestJ, nr)
 	sw.editCalls = ensureInt32(&sw.editCalls, nr)
+	sw.recomputes = ensureInt32(&sw.recomputes, nr)
 	for i := 0; i < nr; i++ {
 		sw.bestJ[i] = -1
 		sw.editCalls[i] = 0
+		sw.recomputes[i] = 0
 	}
-	exec.ParallelForW(rr.ctx, o.Workers, nr, sw.stragItemFn)
-
-	// Serial apply in straggler order, exactly like the reference.
-	applied := 0
-	for i := 0; i < nr; i++ {
-		rr.stats.EditDistanceCalls += int(sw.editCalls[i])
-		if j := sw.bestJ[i]; j >= 0 {
-			if rr.uf.union(int(rr.roots[i]), int(rr.roots[j])) {
-				rr.stats.Merges++
-				applied++
-			}
-		}
-	}
-	return applied
+	return nr
 }
 
 // sweepMeanItem computes cluster i's averaged sweep signature into its flat
@@ -306,31 +378,128 @@ func (sw *sweepIndex) buildPostings(nr int, mode SignatureMode, G int) {
 	}
 }
 
-// sweepStragglerItem decides straggler i's merge (worker w): screen via the
-// postings, recompute the survivors exactly, edit-check the reference's
-// candidate sequence.
+// sweepStragglerItem decides straggler i's merge (worker w): edit-check the
+// list sweepSelect returns and keep the candidate at the smallest edit
+// distance, on a tie the first in exact (distance, index) order — the
+// reference's choice.
 func (rr *roundRunner) sweepStragglerItem(w, i int) {
 	sw := &rr.sweep
 	if rr.memberOff[i+1]-rr.memberOff[i] > sw.small {
 		return
 	}
-	o := rr.o
 	ws := &sw.ws[w]
-	gs := sw.gs.set
-	G := len(gs.grams)
-	nr := len(rr.roots)
-	sig := ensureInt32(&ws.sig, G)
-	sw.gs.idx.signatureInto(gs, rr.reads[rr.reps[i]], sig)
+	cands, nIn, recomputes := rr.sweepSelect(ws, i)
+	sw.recomputes[i] = int32(recomputes)
+	rep := rr.reads[rr.reps[i]]
+	k := rr.o.EditThreshold
+	bestD := k + 1
+	ties := ws.ties[:0]
+	for c := range cands {
+		sw.editCalls[i]++
+		d, ok := rr.editScr[w].Within(rep, rr.reads[rr.reps[cands[c].j]], k)
+		if !ok || d > bestD {
+			continue
+		}
+		if d < bestD {
+			bestD, ties = d, ties[:0]
+		}
+		ties = append(ties, int32(c))
+	}
+	ws.ties = ties[:0]
+	if len(ties) == 0 {
+		return
+	}
+	if len(ties) > 1 {
+		// Only the band's distances are exact; the list ahead of it carries d̃.
+		for _, c := range ties {
+			if int(c) < nIn {
+				cands[c].d = sw.gs.set.meanDistance(ws.sig, sw.meanRow(cands[c].j))
+				sw.recomputes[i]++
+			}
+		}
+	}
+	best := cands[ties[0]]
+	for _, c := range ties[1:] {
+		if candLess(cands[c], best) {
+			best = cands[c]
+		}
+	}
+	sw.bestJ[i] = int32(best.j)
+}
 
-	// Screen accumulation over the straggler's present grams. Epoch stamps
-	// make acc/shared valid only for candidates touched this straggler.
+// sweepSelect returns straggler i's edit-check list: as a set, the first
+// limit candidates of the reference's exact (meanDistance, index) ranking.
+// The first nIn lie below the band and carry their approximate distance d̃;
+// the rest come from the band in exact (distance, index) order. recomputes
+// counts the band's meanDistance calls. The straggler's signature is left in
+// ws.sig.
+func (rr *roundRunner) sweepSelect(ws *sweepWorker, i int) (cands []sweepCand, nIn, recomputes int) {
+	sw := &rr.sweep
+	gs := sw.gs.set
+	nr := len(rr.roots)
+	sig := ensureInt32(&ws.sig, len(gs.grams))
+	sw.gs.idx.signatureInto(gs, rr.reads[rr.reps[i]], sig)
+	dtil := sw.screen(ws, sig, nr)
+
+	limit := sweepCandidates
+	if scaled := nr / 20; scaled > limit {
+		limit = scaled
+	}
+	// With at most limit candidates every one is in the list. Otherwise a
+	// bounded max-heap of the limit smallest d̃ yields T₀ and the band edges.
+	lo, hi := math.Inf(1), math.Inf(1)
+	if nr-1 > limit {
+		h := ws.heap[:0]
+		for j, d := range dtil {
+			if j == i {
+				continue
+			}
+			if len(h) < limit {
+				h = append(h, d)
+				siftUpF32(h)
+			} else if d < h[0] {
+				h[0] = d
+				siftDownF32(h)
+			}
+		}
+		ws.heap = h[:0]
+		eps2 := 2 * sweepEps(gs.mode)
+		lo, hi = float64(h[0])-eps2, float64(h[0])+eps2
+	}
+
+	cands, band := ws.cands[:0], ws.band[:0]
+	for j, d := range dtil {
+		switch {
+		case j == i:
+		case float64(d) < lo:
+			cands = append(cands, sweepCand{j, d})
+		case float64(d) <= hi:
+			band = append(band, sweepCand{j, gs.meanDistance(sig, sw.meanRow(j))})
+		}
+	}
+	ws.band = band
+	sort.Sort((*candSlice)(&ws.band)) // through ws: a local's address would escape
+	nIn, recomputes = len(cands), len(band)
+	if n := limit - nIn; n < len(band) {
+		band = band[:n]
+	}
+	cands = append(cands, band...)
+	ws.cands = cands[:0]
+	return cands, nIn, recomputes
+}
+
+// screen fills ws.dtil[j] with the approximate distance d̃ from sig to
+// cluster j's averaged signature, for every j < nr, and returns it. Epoch
+// stamps make the accumulators valid only for candidates touched by sig.
+func (sw *sweepIndex) screen(ws *sweepWorker, sig []int32, nr int) []float32 {
+	mode := sw.gs.set.mode
 	acc := ensureFloat32(&ws.acc, nr)
 	shared := ensureInt32(&ws.shared, nr)
 	stamp := ensureInt32(&ws.stamp, nr)
 	ws.epoch++
 	ep := ws.epoch
 	P := int32(0)
-	if gs.mode == QGram {
+	if mode == QGram {
 		for g, v := range sig {
 			if v == 0 {
 				continue
@@ -372,23 +541,13 @@ func (rr *roundRunner) sweepStragglerItem(w, i int) {
 		}
 	}
 
-	// Approximate distance for every candidate; a bounded max-heap of the
-	// smallest limit values yields the screen threshold.
-	limit := sweepCandidates
-	if scaled := nr / 20; scaled > limit {
-		limit = scaled
-	}
 	dtil := ensureFloat32(&ws.dtil, nr)
-	h := ws.heap[:0]
-	for j := 0; j < nr; j++ {
-		if j == i {
-			continue
-		}
+	for j := range dtil {
 		var d float32
 		switch {
 		case !sw.meanOK[j]:
 			d = sigMissingFarMean
-		case gs.mode == QGram:
+		case mode == QGram:
 			var wsum float32
 			if stamp[j] == ep {
 				wsum = acc[j]
@@ -407,53 +566,8 @@ func (rr *roundRunner) sweepStragglerItem(w, i int) {
 			}
 		}
 		dtil[j] = d
-		if len(h) < limit {
-			h = append(h, d)
-			siftUpF32(h)
-		} else if d < h[0] {
-			h[0] = d
-			siftDownF32(h)
-		}
 	}
-	T := math.MaxFloat64
-	if limit > 0 && len(h) >= limit {
-		T = float64(h[0]) + sweepScreenMargin
-	}
-	ws.heap = h[:0]
-
-	// Exact distances for the survivors, via the reference kernel on the
-	// reference-layout rows, then the reference (distance, index) order.
-	cands := ws.cands[:0]
-	for j := 0; j < nr; j++ {
-		if j == i || float64(dtil[j]) > T {
-			continue
-		}
-		var mean []float32
-		if sw.meanOK[j] {
-			mean = sw.meanBuf[j*G : (j+1)*G]
-		}
-		cands = append(cands, sweepCand{j, gs.meanDistance(sig, mean)})
-	}
-	ws.cands = cands[:0]
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].d != cands[b].d {
-			return cands[a].d < cands[b].d
-		}
-		return cands[a].j < cands[b].j
-	})
-	if limit > len(cands) {
-		limit = len(cands)
-	}
-	bestJ, bestD := -1, o.EditThreshold+1
-	for _, c := range cands[:limit] {
-		sw.editCalls[i]++
-		if d, ok := rr.editScr[w].Within(rr.reads[rr.reps[i]], rr.reads[rr.reps[c.j]], o.EditThreshold); ok && d < bestD {
-			bestJ, bestD = c.j, d
-		}
-	}
-	if bestJ >= 0 {
-		sw.bestJ[i] = int32(bestJ)
-	}
+	return dtil
 }
 
 // siftUpF32 restores the max-heap property after appending to h.

@@ -508,35 +508,6 @@ func (a Adaptive) agrees(sc *Scratch, reads []dna.Seq, cons dna.Seq, targetLen i
 	return true
 }
 
-// ConsensusWithConfidence reconstructs a cluster with the NW/POA algorithm
-// and additionally reports a per-strand confidence: the mean vote fraction
-// of the kept consensus columns — exactly the columns whose majority bases
-// form the returned consensus, after the §VII-C indel-heavy trim. Columns
-// the trim discarded do not dilute the score (they voted for nothing in the
-// output). Confidence near 1 means the reads agree almost everywhere; low
-// confidence flags clusters whose consensus should be treated with suspicion
-// (e.g. dropped in favour of an erasure). An empty consensus has no kept
-// columns and reports confidence 0.
-func ConsensusWithConfidence(reads []dna.Seq, targetLen int) (dna.Seq, float64) {
-	if len(reads) == 0 {
-		return nil, 0
-	}
-	g := align.NewGraph()
-	for _, r := range reads {
-		g.AddSequence(r)
-	}
-	consensus, kept := g.ConsensusColumns(targetLen)
-	if len(kept) == 0 {
-		return consensus, 0
-	}
-	total := 0.0
-	for _, c := range kept {
-		b, _ := c.Majority()
-		total += float64(c.Counts[b]) / float64(len(reads))
-	}
-	return consensus, total / float64(len(kept))
-}
-
 // ReconstructAllContext reconstructs every cluster in parallel and returns
 // one consensus strand per cluster, in cluster order. Empty clusters yield
 // nil. workers <= 0 uses GOMAXPROCS; zero clusters and workers exceeding the

@@ -3,7 +3,6 @@ package recon
 import (
 	"testing"
 
-	"dnastore/internal/align"
 	"dnastore/internal/dna"
 	"dnastore/internal/sim"
 	"dnastore/internal/xrand"
@@ -141,48 +140,5 @@ func TestAdaptiveAccuracyAtNoise(t *testing.T) {
 	adaptive := PerfectCount(refs, reconstructAll(t, clusters, 110, Adaptive{}, 0))
 	if adaptive < bma {
 		t.Fatalf("adaptive %d/80 perfect, below plain BMA %d/80", adaptive, bma)
-	}
-}
-
-// TestConfidenceIgnoresTrimmedColumns pins the ConsensusWithConfidence fix:
-// one read carrying a long private insertion creates alignment columns that
-// the §VII-C trim drops from the consensus; those columns must not dilute
-// the confidence of the kept, unanimous positions.
-func TestConfidenceIgnoresTrimmedColumns(t *testing.T) {
-	rng := xrand.New(44)
-	ref := dna.Random(rng, 60)
-	insert := dna.Random(rng, 12)
-	outlier := append(ref[:30:30].Clone(), append(insert, ref[30:]...)...)
-	reads := []dna.Seq{ref.Clone(), ref.Clone(), ref.Clone(), ref.Clone(), outlier}
-
-	got, conf := ConsensusWithConfidence(reads, len(ref))
-	if !got.Equal(ref) {
-		t.Fatalf("consensus = %v, want the reference", got)
-	}
-	// Every kept column is 4-of-5 or 5-of-5; the 1-of-5 insertion columns
-	// are trimmed and must not count. The pre-fix average over all columns
-	// sat near (60·0.97 + 12·0.2)/72 ≈ 0.84.
-	if conf < 0.9 {
-		t.Fatalf("confidence %v diluted by trimmed insertion columns", conf)
-	}
-
-	// The reported value must be exactly the mean vote fraction over the
-	// kept columns as ConsensusColumns returns them.
-	g := align.NewGraph()
-	for _, r := range reads {
-		g.AddSequence(r)
-	}
-	seq, cols := g.ConsensusColumns(len(ref))
-	if !seq.Equal(got) {
-		t.Fatal("ConsensusColumns sequence diverges from ConsensusWithConfidence")
-	}
-	want := 0.0
-	for _, c := range cols {
-		b, _ := c.Majority()
-		want += float64(c.Counts[b]) / float64(len(reads))
-	}
-	want /= float64(len(cols))
-	if diff := conf - want; diff < -1e-12 || diff > 1e-12 {
-		t.Fatalf("confidence %v != kept-column mean %v", conf, want)
 	}
 }

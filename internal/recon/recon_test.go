@@ -271,32 +271,6 @@ func BenchmarkNWCoverage10(b *testing.B) {
 	}
 }
 
-func TestConsensusWithConfidence(t *testing.T) {
-	rng := xrand.New(91)
-	ref := dna.Random(rng, 80)
-	clean := []dna.Seq{ref.Clone(), ref.Clone(), ref.Clone(), ref.Clone()}
-	gotClean, confClean := ConsensusWithConfidence(clean, len(ref))
-	if !gotClean.Equal(ref) {
-		t.Fatal("clean consensus mismatch")
-	}
-	if confClean < 0.999 {
-		t.Fatalf("clean confidence = %v", confClean)
-	}
-	// Very noisy cluster: confidence must drop substantially.
-	ch := sim.CalibratedIID(0.25)
-	var noisy []dna.Seq
-	for i := 0; i < 4; i++ {
-		noisy = append(noisy, ch.Transmit(rng, ref))
-	}
-	_, confNoisy := ConsensusWithConfidence(noisy, len(ref))
-	if confNoisy >= confClean-0.1 {
-		t.Fatalf("noisy confidence %v not clearly below clean %v", confNoisy, confClean)
-	}
-	if s, c := ConsensusWithConfidence(nil, 10); s != nil || c != 0 {
-		t.Fatal("empty cluster should give nil, 0")
-	}
-}
-
 func TestMeanEditDistance(t *testing.T) {
 	refs := []dna.Seq{
 		dna.MustFromString("ACGTACGT"),
