@@ -208,9 +208,10 @@ type pair struct {
 // in forward order. The returned slice is backed by the graph's scratch and
 // valid until the next alignToGraph call.
 //
-// The default kernel is the windowed wavefront sweep (poa_fast.go), which
-// bails out when the read aligns too badly for the score bound to hold and
-// falls back to the exhaustive DP (poa_dp.go) — so the pair list is always
+// The default kernel is the windowed wavefront sweep (poa_fast.go). It
+// reports a miss when the read aligns too badly for its score bound to hold;
+// alignToGraph then retries once with a wider band and runs the exhaustive
+// DP (poa_dp.go) only when that misses too — so the pair list is always
 // bit-identical to the DP reference. SetReferenceDP forces the reference for
 // differential tests and benchmarks.
 func (g *Graph) alignToGraph(s dna.Seq) []pair {
@@ -220,8 +221,12 @@ func (g *Graph) alignToGraph(s dna.Seq) []pair {
 	if pairs, ok := g.alignToGraphBanded(s); ok {
 		return pairs
 	}
-	// Hopeless read: the banded sweep's live window collapsed before a
-	// sink, so no alignment reaches the score bound. The read still has to
+	// The first band missed: no alignment reaches its score bound. A read
+	// at the channel's own error rate usually fits a band twice as wide.
+	if pairs, ok := g.alignToGraphSlack(s, wideBandFactor*alignSlack(len(s))); ok {
+		return pairs
+	}
+	// Hopeless read (junk, fragment, wrong cluster): the read still has to
 	// merge into the graph, and only the full table is exact down there.
 	return g.alignToGraphDP(s)
 }

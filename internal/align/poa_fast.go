@@ -29,9 +29,10 @@ import "dnastore/internal/dna"
 //     computes below its bound is genuinely dead ("computed < bound ⇔ true
 //     value < bound") — live detection cannot miss a live cell.
 //   - If the best sink score comes out below B (= bound(m)), no alignment
-//     reaches the bound at all: the read is hopeless for this kernel, the
-//     banded attempt has already collapsed to near-zero work per row, and
-//     alignToGraph falls back to the exhaustive DP for the exact answer.
+//     reaches the bound at all: the read misses this band. The argument
+//     holds for any slack, so alignToGraph retries once at wideBandFactor
+//     times the slack and falls back to the exhaustive DP only when that
+//     wider band misses too.
 //
 // Either way the resulting pair list is bit-identical to alignToGraphDP
 // (differential tests in poa_fast_test.go and recon's FuzzReconDispatch).
@@ -49,15 +50,16 @@ import "dnastore/internal/dna"
 // move penalty keeps it below every reachable score.
 const floorScore = -1 << 30
 
-// alignSlack sizes the pruning bound's slack for a read of length m. The
-// slack is the score deficit (vs. a perfect all-match alignment) the banded
-// sweep still tolerates: with the current scores one substitution costs 5 and
-// one indel 6, so slack/5 is roughly the number of edits a read may carry
-// before the kernel gives up and falls back to the exhaustive DP. max(56,
-// m/2) tolerates ~10% per-base error at any length and makes the fallback
-// rare at the simulator's operating points, while keeping the live band (≈
-// 5·slack/12 cells per row) a fraction of the full row at realistic strand
-// lengths.
+// alignSlack sizes the first band's slack for a read of length m. The slack
+// is the score deficit (vs. a perfect all-match alignment) the banded sweep
+// still tolerates: with the current scores one substitution costs 5 and one
+// indel 6, so slack/5 is roughly the number of edits a read may carry before
+// the band misses. max(56, m/2) keeps the live band (≈ 5·slack/12 cells per
+// row) a fraction of the full row at realistic strand lengths. A read's
+// deficit is measured against the graph's best path, which still carries
+// errors of the reads merged before it, so ordinary reads miss too: at the
+// paper's Table III point (128 nt, 6 % IID, coverage 10) about one graph
+// alignment in ten misses the first band.
 func alignSlack(m int) int {
 	s := m / 2
 	if s < 56 {
@@ -66,11 +68,23 @@ func alignSlack(m int) int {
 	return s
 }
 
-// alignToGraphBanded is the windowed fast-path alignment. It returns ok ==
-// false when no alignment reaches the pruning bound, in which case the caller
-// must rerun the exhaustive DP; when ok, the pair list is bit-identical to
-// alignToGraphDP's.
+// wideBandFactor scales alignSlack for alignToGraph's one retry before the
+// exhaustive DP. At the Table III point the second band catches all but
+// about one in five hundred of the first band's misses, and a wider band
+// costs a fraction of the full table.
+const wideBandFactor = 2
+
+// alignToGraphBanded is the windowed fast-path alignment at the first band,
+// alignSlack(len(s)).
 func (g *Graph) alignToGraphBanded(s dna.Seq) ([]pair, bool) {
+	return g.alignToGraphSlack(s, alignSlack(len(s)))
+}
+
+// alignToGraphSlack is the windowed kernel at an explicit slack. It returns
+// ok == false when no alignment reaches the pruning bound, in which case the
+// caller must retry with more slack or run the exhaustive DP; when ok, the
+// pair list is bit-identical to alignToGraphDP's.
+func (g *Graph) alignToGraphSlack(s dna.Seq, slack int) ([]pair, bool) {
 	m := len(s)
 	order := g.topoOrder()
 	nNodes := len(g.nodes)
@@ -97,7 +111,6 @@ func (g *Graph) alignToGraphBanded(s dna.Seq) ([]pair, bool) {
 	for j := 1; j <= m; j++ {
 		s0[j] = j * gapScore
 	}
-	slack := alignSlack(m)
 	// S0's live range: j*gapScore >= 2j - slack  ⇔  j <= slack/6.
 	s0Hi := slack / 6
 	if s0Hi > m {

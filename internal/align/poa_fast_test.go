@@ -1,9 +1,11 @@
 package align
 
 import (
+	"context"
 	"testing"
 
 	"dnastore/internal/dna"
+	"dnastore/internal/sim"
 	"dnastore/internal/xrand"
 )
 
@@ -110,6 +112,80 @@ func TestBandedAcceptsCleanRead(t *testing.T) {
 	}
 }
 
+// noisyPointClusters simulates fixed-seed clusters at the paper's Table III
+// point: 128-nt strands through 6 % IID error at fixed coverage 10, one
+// cluster of reads per strand.
+func noisyPointClusters(tb testing.TB, strands int) [][]dna.Seq {
+	tb.Helper()
+	rng := xrand.New(24)
+	src := make([]dna.Seq, strands)
+	for i := range src {
+		src[i] = dna.Random(rng, 128)
+	}
+	reads, err := sim.SimulatePoolContext(context.Background(), src, sim.Options{
+		Channel: sim.CalibratedIID(0.06), Coverage: sim.FixedCoverage(10), Seed: 25,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	clusters := make([][]dna.Seq, strands)
+	for _, r := range reads {
+		clusters[r.Origin] = append(clusters[r.Origin], r.Seq)
+	}
+	return clusters
+}
+
+// TestWideBandRetry pins alignToGraph's retry on ordinary noisy-point reads:
+// some miss the first band and fit the wide one, so the retry saves the
+// exhaustive DP, and every pair list either band returns equals
+// alignToGraphDP's. A junk read misses both bands, and alignToGraph still
+// returns the DP's pair list for it.
+func TestWideBandRetry(t *testing.T) {
+	clusters := noisyPointClusters(t, 100)
+	rng := xrand.New(26)
+	g := NewGraph()
+	aligns, missFirst, missBoth := 0, 0, 0
+	for ci, reads := range clusters {
+		g.Reset()
+		for ri, r := range reads {
+			if g.NumNodes() > 0 && len(r) > 0 {
+				aligns++
+				want := clonePairs(g.alignToGraphDP(r))
+				slack := alignSlack(len(r))
+				for _, sl := range []int{slack, wideBandFactor * slack} {
+					got, ok := g.alignToGraphSlack(r, sl)
+					if ok && !pairsEqual(got, want) {
+						t.Fatalf("cluster %d read %d slack %d: banded pairs diverge from DP", ci, ri, sl)
+					}
+					if ok {
+						break
+					}
+					if sl == slack {
+						missFirst++
+					} else {
+						missBoth++
+					}
+				}
+			}
+			g.AddSequence(r)
+		}
+		junk := dna.Random(rng, 128)
+		for _, sl := range []int{alignSlack(len(junk)), wideBandFactor * alignSlack(len(junk))} {
+			if _, ok := g.alignToGraphSlack(junk, sl); ok {
+				t.Fatalf("cluster %d: a random read met the bound at slack %d", ci, sl)
+			}
+		}
+		got := clonePairs(g.alignToGraph(junk))
+		if want := g.alignToGraphDP(junk); !pairsEqual(got, want) {
+			t.Fatalf("cluster %d: junk read's pairs diverge from DP", ci)
+		}
+	}
+	t.Logf("%d graph alignments: %d missed the first band, %d of them the wide band too", aligns, missFirst, missBoth)
+	if missFirst == missBoth {
+		t.Fatalf("no read of %d missed the first band and fit the wide one; the retry is untested", aligns)
+	}
+}
+
 // TestReferenceDPToggle pins SetReferenceDP: the toggle routes through the
 // exhaustive kernel (observable only through identical results, so this just
 // guards the plumbing against inversion).
@@ -127,6 +203,20 @@ func TestReferenceDPToggle(t *testing.T) {
 	got := g.ConsensusOf(reads, len(ref))
 	if !got.Equal(want) {
 		t.Fatalf("fast consensus %v != reference %v", got, want)
+	}
+}
+
+// BenchmarkConsensusNoisyPoint times ConsensusOf over 100 fixed clusters at
+// the Table III point (128 nt, 6 % IID, coverage 10), one graph reused.
+func BenchmarkConsensusNoisyPoint(b *testing.B) {
+	clusters := noisyPointClusters(b, 100)
+	g := NewGraph()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, reads := range clusters {
+			g.ConsensusOf(reads, 128)
+		}
 	}
 }
 

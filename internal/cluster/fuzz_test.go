@@ -29,7 +29,11 @@ func fuzzRead(raw []byte) dna.Seq {
 // reference signature packed bit for bit, hammingPacked must equal
 // gramSet.distance, and wgramDistanceWithin must honour its contract
 // against gramSet.distance (exact inside the threshold band, anything
-// above it outside).
+// above it outside). In QGram mode the pair also forms a two-member sweep
+// cluster: its bit-planes must give B = Σ_g k_g and the mean row k_g/2 of the
+// int32 signatures, and the screen must give each read, as the straggler,
+// the key sweepKeyScale·|P| + (sweepKeyScale/2)·(B − 2S) with
+// S = Σ_{g∈P} k_g.
 func FuzzSigDistance(f *testing.F) {
 	f.Add([]byte("ACGTACGTACGTACGTACGTACGT"), []byte("ACGTACCTACGTACGAACGTACGT"), uint64(1), byte(0), byte(48), byte(4), uint16(18))
 	f.Add([]byte("GATTACAGATTACAGATTACA"), []byte("TTTTTTTTTTTTTTTTTTTTT"), uint64(7), byte(1), byte(24), byte(3), uint16(40))
@@ -74,6 +78,44 @@ func FuzzSigDistance(f *testing.F) {
 			}
 			if got := hammingPacked(packedA, packedB); got != refD {
 				t.Fatalf("hammingPacked = %d, gramSet.distance = %d", got, refD)
+			}
+
+			var row planeRow
+			var memberA, memberB [sweepWords]uint64
+			copy(memberA[:], packedA)
+			copy(memberB[:], packedB)
+			addPlanes(&row, &memberA)
+			addPlanes(&row, &memberB)
+			mean := make([]float32, count)
+			B := int(planesMeanRow(&row, 2, mean))
+			sumK := 0
+			for g := range refA {
+				kg := refA[g] + refB[g]
+				sumK += int(kg)
+				if mean[g] != float32(kg)/2 {
+					t.Fatalf("planes mean at gram %d = %v, signatures give %d/2", g, mean[g], kg)
+				}
+			}
+			if B != sumK {
+				t.Fatalf("planes B = %d, signatures sum %d", B, sumK)
+			}
+			for _, ref := range [][]int32{refA, refB} {
+				P, S := 0, 0
+				for g, v := range ref {
+					if v != 0 {
+						P++
+						S += int(refA[g] + refB[g])
+					}
+				}
+				var pres [sweepWords]uint64
+				if got := packPresence(ref, &pres); got != P {
+					t.Fatalf("packPresence counts %d grams, the signature holds %d", got, P)
+				}
+				key := make([]float32, 1)
+				screenPlanes(&pres, P, []planeRow{row}, []int32{int32(B)}, []int32{sweepKeyScale / 2}, []bool{true}, key)
+				if want := sweepKeyScale*P + sweepKeyScale/2*(B-2*S); key[0] != float32(want) {
+					t.Fatalf("screen key %v, signatures give %d (|P| = %d, B = %d, S = %d)", key[0], want, P, B, S)
+				}
 			}
 			return
 		}

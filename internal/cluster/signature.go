@@ -85,7 +85,11 @@ const wgramScale = 8
 const wgramMinOverlap = 4
 
 // WGramFar is the sentinel distance for w-gram signature pairs with too few
-// co-present grams to compare. It exceeds any real distance.
+// co-present grams to compare. It exceeds any real value of the scaled
+// distance (at most wgramCap·wgramScale = 192), so such a pair never merges
+// on signature evidence. It does not exceed meanDistance's unnormalized
+// w-gram sums, which reach sweepGrams·wgramCap = 3 456: there it ranks ahead
+// of most real candidates.
 const WGramFar = 997
 
 // sigMissingFar is the distance reported when a signature is missing
@@ -147,7 +151,10 @@ func (gs gramSet) distance(a, b []int32) int {
 // meanDistance compares a single read's signature against a cluster's
 // averaged signature (see the straggler sweep). QGram: L1 between the bit
 // and the mean presence; WGram: capped position drift against the mean
-// first-occurrence, with one-sided absence penalized.
+// first-occurrence, with one-sided absence penalized. The WGram sum is not
+// normalized by the overlap, so it reaches len(sig)·wgramCap, and a pair
+// below wgramMinOverlap returns WGramFar, which sorts ahead of every real sum
+// above 997 rather than last.
 //
 //dnalint:hotpath
 func (gs gramSet) meanDistance(sig []int32, mean []float32) float32 {

@@ -2,16 +2,12 @@
 // stragglerSweep (the test-only oracle in reference_test.go). The reference
 // ranks, for every straggler, every other cluster by exact meanDistance and
 // then fully sorts the list: O(S·R·G + S·R log R) for S stragglers over R
-// clusters. The sweep here keeps the identical outcome but gets the
-// candidate list through a gram-inverted index over the clusters' averaged
-// signatures:
+// clusters. The sweep here keeps the identical outcome but ranks the
+// candidates by a cheaper screen key first:
 //
-//  1. a screen pass accumulates, per candidate cluster j, the algebraic
-//     decomposition of the mean distance over only the grams the straggler
-//     actually contains (weighted postings), yielding an approximate
-//     distance d̃_j whose only divergence from the exact value d_j is float
-//     summation order, so |d̃_j − d_j| ≤ ε for a per-mode rounding bound ε
-//     (see sweepEps);
+//  1. a screen pass gives every candidate cluster j a key d̃_j: exact in
+//     QGram mode (bit-sliced member counts), within a rounding bound ε of
+//     meanDistance in WGram mode (gram-inverted postings);
 //  2. a bounded max-heap finds T₀, the limit-th smallest d̃;
 //  3. a candidate with d̃ < T₀ − 2ε is in the reference's exact top-limit
 //     list, one with d̃ > T₀ + 2ε is out, and only the band between gets the
@@ -22,23 +18,37 @@
 //     edit-checked set and the chosen candidate — and therefore every merge
 //     and every Stats counter — equal the reference sweep's.
 //
-// The decompositions are exact in real arithmetic. QGram: with presence set
-// P of the straggler and m⁺ = max(mean, 0),
+// QGram. A cluster's mean is m_g = k_g/n: n ≤ sweepSigReads members count,
+// and k_g of them hold gram g. Bit-planes hold every k_g in binary, so with
+// the straggler's presence set P, B = Σ_g k_g and
+// S = Σ_{g∈P} k_g = Σ_p 2^p·popcount(P ∧ plane_p),
 //
-//	d = Σ_g |sig_g − m⁺_g| = |P| + Σ_g m⁺_g − 2·Σ_{g∈P} m⁺_g,
+//	R = Σ_g |sig_g − m_g| = |P| + (B − 2S)/n
 //
-// so per-candidate it suffices to accumulate W_j = Σ_{g∈P} m⁺_jg from the
-// postings (base_j = Σ_g m⁺_jg is precomputed). WGram: with presence counts
-// |P| (straggler) and M_j (mean) and shared_j co-present grams,
+// is the real distance to the exact mean. Every such n divides
+// sweepKeyScale = 60, so the key 60·R is an integer and distinct values of R
+// lie at least 1/60 apart. meanDistance's float32 d lies within 1.3·10⁻³ of
+// R: each of its G = sweepGrams = 144 terms |sig − k/n| lies in [0, 1] and
+// carries at most two roundings (the quotient and the subtraction, 2u), and
+// a float32 sum of G terms, in any order, lies within γ_G·Σ|xᵢ| ≤ γ_G·G of
+// the real sum, with γ_G = G·u/(1−G·u) and u = 2⁻²⁴ (Higham, "Accuracy and
+// Stability of Numerical Algorithms", §4.2). As 1.3·10⁻³ < 1/120, d orders
+// candidates of distinct R exactly as R does: R < T₀ is in the list, R > T₀
+// is out, and the band (ε = 0) is the exact tie group R = T₀.
+//
+// WGram. With presence counts |P| (straggler) and M_j (mean) and shared_j
+// co-present grams,
 //
 //	d = wgramCap·(|P| + M_j − 2·shared_j) + Σ_{co-present} min(|sig−mean|, cap),
 //
-// and shared_j is an exact integer, so the overlap < wgramMinOverlap ⇒
-// WGramFar rule transfers exactly.
+// so the screen accumulates the drift sum over the postings of the grams the
+// straggler holds. shared_j is an exact integer, so the overlap <
+// wgramMinOverlap ⇒ WGramFar rule transfers exactly.
 package cluster
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 
 	"dnastore/internal/exec"
@@ -48,41 +58,47 @@ import (
 // the sweep ranks every cluster and needs the sharper signature.
 const sweepGrams = 3 * numGrams
 
-// The screen's rounding bound ε: |d̃ − d| ≤ ε for every candidate, where d
-// is meanDistance's float32 result and d̃ the screen's. Both sum the same
-// float32 terms in a different order and grouping, and a float32 sum of n
-// terms, in any order, lies within γₙ·Σ|xᵢ| of the real sum, with
-// γₙ = n·u/(1−n·u) and u = 2⁻²⁴ (Higham, "Accuracy and Stability of
-// Numerical Algorithms", §4.2). Here n = sweepGrams = 144.
-//
-// QGram: the terms |sig − m⁺| lie in [0, 1], and meanDistance's own
-// subtraction is one of each term's n roundings, so d is within γₙ·n of the
-// real R = |P| + base − 2W. The screen's base and W are sums of at most n
-// terms in [0, 1], each within γₙ·n, and W enters twice; the screen's last
-// two roundings, of values below 2n+2, add 2u·(2n+2). Hence
-// ε_Q = 4γₙ·n + 4u·(n+1) ≈ 4.98·10⁻³.
-//
-// WGram: the terms (drifts capped at wgramCap, and wgramCap for a gram
-// present on one side only) lie in [0, wgramCap] and are the same float32
-// values in both forms. meanDistance adds them in gram order; the screen adds
-// the co-present drifts and then the exact wgramCap·(|P| + M − 2·shared).
-// Each is within γₙ·n·wgramCap of the real sum, so ε_W = 2γₙ·n·wgramCap ≈
+// The QGram screen's bit-slicing: sweepPlanes bit-planes of sweepWords
+// packed words hold a member count k ≤ sweepSigReads per gram, and
+// sweepKeyScale is a multiple of every member count n ≤ sweepSigReads, so
+// sweepKeyScale·R is an integer. TestSweepKeyPremise checks both against
+// sweepSigReads.
+const (
+	sweepPlanes   = 3
+	sweepWords    = (sweepGrams + 63) / 64
+	sweepKeyScale = 60
+)
+
+// screenPlanes is written out for three planes of three words: this fails to
+// compile otherwise.
+const _ = uint(sweepPlanes-3) + uint(3-sweepPlanes) + uint(sweepWords-3) + uint(3-sweepWords)
+
+// planeRow is one cluster's bit-sliced member counts: bit g of row[p] is bit
+// p of k_g, the number of counted members holding gram g.
+type planeRow [sweepPlanes][sweepWords]uint64
+
+// The WGram screen's rounding bound ε_W: |d̃ − d| ≤ ε_W for every candidate,
+// where d is meanDistance's float32 result and d̃ the screen's. Both sum the
+// same G float32 terms in a different order and grouping; the terms (drifts
+// capped at wgramCap, and wgramCap for a gram present on one side only) lie
+// in [0, wgramCap] and are the same float32 values in both forms.
+// meanDistance adds them in gram order; the screen adds the co-present
+// drifts and then the exact wgramCap·(|P| + M − 2·shared). Each is within
+// γ_G·G·wgramCap of the real sum (γ_G as above), so ε_W = 2γ_G·G·wgramCap ≈
 // 0.0593.
 //
-// γₙ counts n roundings where a sum of n terms has n − 1; the slack, over
-// 10⁻⁵ in either mode, covers the float64 rounding (below 10⁻¹²) of the band
-// edges T₀ ± 2ε.
+// γ_G counts G roundings where a sum of G terms has G − 1; the slack, over
+// 10⁻⁵, covers the float64 rounding (below 10⁻¹²) of the band edges T₀ ± 2ε.
 const (
 	f32Unit    = 1.0 / (1 << 24)
 	sweepGamma = sweepGrams * f32Unit / (1 - sweepGrams*f32Unit)
-	sweepEpsQ  = 4*sweepGamma*sweepGrams + 4*f32Unit*(sweepGrams+1)
 	sweepEpsW  = 2 * sweepGamma * sweepGrams * wgramCap
 )
 
-// sweepEps returns the screen's rounding bound ε for mode.
+// sweepEps returns the screen's bound ε for mode: 0 for the exact QGram key.
 func sweepEps(mode SignatureMode) float64 {
 	if mode == QGram {
-		return sweepEpsQ
+		return 0
 	}
 	return sweepEpsW
 }
@@ -91,6 +107,10 @@ func sweepEps(mode SignatureMode) float64 {
 // sweep signature: the mean denoises individual read errors, and a handful
 // of members is enough for the averaging to converge.
 const sweepSigReads = 6
+
+// The planes must hold every count up to sweepSigReads: this fails to
+// compile otherwise.
+const _ = uint(1<<sweepPlanes - 1 - sweepSigReads)
 
 // sweepCand is a candidate cluster for a straggler merge, ranked by distance
 // to the cluster's averaged signature.
@@ -120,10 +140,11 @@ func (p *candSlice) Swap(i, j int)      { (*p)[i], (*p)[j] = (*p)[j], (*p)[i] }
 //
 //dnalint:scratch
 type sweepWorker struct {
-	sig    []int32   // straggler / member signature buffer
-	sum    []float32 // mean-signature accumulators
+	sig    []int32            // straggler / member signature buffer
+	pres   [sweepWords]uint64 // straggler / member packed presence (QGram)
+	sum    []float32          // mean-signature accumulators (WGram)
 	count  []int32
-	acc    []float32 // per-candidate W_j (QGram) or drift sum A_j (WGram)
+	acc    []float32 // per-candidate drift sum A_j (WGram)
 	shared []int32   // per-candidate co-present gram count (WGram)
 	stamp  []int32   // epoch stamps validating acc/shared entries
 	epoch  int32
@@ -135,9 +156,10 @@ type sweepWorker struct {
 }
 
 // sweepIndex is the shared (build-once-per-pass) state of the indexed sweep:
-// the sweep gram set, the flat averaged signatures, the weighted postings
-// and the per-straggler outputs. Built serially or in disjoint-row parallel
-// phases; read-only while stragglers are processed.
+// the sweep gram set, the flat averaged signatures, the per-mode screen
+// index (QGram bit-planes, WGram postings) and the per-straggler outputs.
+// Built serially or in disjoint-row parallel phases; read-only while
+// stragglers are processed.
 //
 //dnalint:scratch
 type sweepIndex struct {
@@ -148,15 +170,18 @@ type sweepIndex struct {
 	meanBuf []float32 // nr × G flat averaged signatures
 	meanOK  []bool    // row validity (replaces the reference's nil rows)
 
-	// Weighted postings: for gram g, candidates postJ[postOff[g]:postOff[g+1]]
-	// with their mean values in postV. QGram posts m⁺ > 0 entries; WGram
-	// posts present (mean ≥ 0) entries.
+	// QGram bit-sliced member counts, one row per cluster.
+	planes   []planeRow
+	countSum []int32 // B_j = Σ_g k_jg
+	keyScale []int32 // sweepKeyScale / n_j
+
+	// WGram postings: for gram g, candidates postJ[postOff[g]:postOff[g+1]]
+	// with their present (mean ≥ 0) mean values in postV.
 	postOff []int32
 	postJ   []int32
 	postV   []float32
 	cursor  []int32
-	base    []float32 // QGram: Σ_g m⁺ per candidate
-	presCnt []int32   // WGram: present-gram count per candidate
+	presCnt []int32 // present-gram count per candidate
 
 	bestJ      []int32 // straggler outputs: chosen dense root, -1 none
 	editCalls  []int32
@@ -256,10 +281,19 @@ func (rr *roundRunner) prepareSweep(pass uint64) int {
 	for i := range sw.meanOK {
 		sw.meanOK[i] = false
 	}
+	if o.Mode == QGram {
+		if cap(sw.planes) < nr {
+			sw.planes = make([]planeRow, nr)
+		}
+		sw.planes = sw.planes[:nr]
+		sw.countSum = ensureInt32(&sw.countSum, nr)
+		sw.keyScale = ensureInt32(&sw.keyScale, nr)
+	}
 	exec.ParallelForW(rr.ctx, o.Workers, nr, sw.meanItemFn)
-
-	// Postings over the averaged signatures (serial, O(nr·G)).
-	sw.buildPostings(nr, o.Mode, G)
+	if o.Mode == WGram {
+		// Postings over the averaged signatures (serial, O(nr·G)).
+		sw.buildPostings(nr, G)
+	}
 
 	sw.bestJ = ensureInt32(&sw.bestJ, nr)
 	sw.editCalls = ensureInt32(&sw.editCalls, nr)
@@ -274,7 +308,8 @@ func (rr *roundRunner) prepareSweep(pass uint64) int {
 
 // sweepMeanItem computes cluster i's averaged sweep signature into its flat
 // row — float-identical to the reference (same members, same accumulation
-// order) — and marks the row valid.
+// order) — and marks the row valid. In QGram mode it also fills the row's
+// bit-planes, its count sum B and its key scale.
 func (rr *roundRunner) sweepMeanItem(w, i int) {
 	sw := &rr.sweep
 	ws := &sw.ws[w]
@@ -284,6 +319,22 @@ func (rr *roundRunner) sweepMeanItem(w, i int) {
 	n := int(hi - lo)
 	if n > sweepSigReads {
 		n = sweepSigReads
+	}
+	mean := sw.meanBuf[i*G : (i+1)*G]
+	if gs.mode == QGram {
+		// The reference sums n presence bits per gram in float32 (exact
+		// small integers) and divides by the member count n, so
+		// float32(k)/float32(n) from the planes is the same float.
+		row := &sw.planes[i]
+		*row = planeRow{}
+		for _, m := range rr.members[lo : int(lo)+n] {
+			sw.gs.idx.qsigBitsInto(gs, rr.reads[m], ws.pres[:sigWords(G)])
+			addPlanes(row, &ws.pres)
+		}
+		sw.countSum[i] = planesMeanRow(row, n, mean)
+		sw.keyScale[i] = int32(sweepKeyScale / n)
+		sw.meanOK[i] = true
+		return
 	}
 	sum := ensureFloat32(&ws.sum, G)
 	count := ensureInt32(&ws.count, G)
@@ -295,20 +346,17 @@ func (rr *roundRunner) sweepMeanItem(w, i int) {
 	for _, m := range rr.members[lo : int(lo)+n] {
 		sw.gs.idx.signatureInto(gs, rr.reads[m], sig)
 		for g, v := range sig {
-			if gs.mode == WGram && v == wgramAbsent {
+			if v == wgramAbsent {
 				continue
 			}
 			sum[g] += float32(v)
 			count[g]++
 		}
 	}
-	mean := sw.meanBuf[i*G : (i+1)*G]
 	for g := range mean {
 		switch {
-		case gs.mode == WGram && int(count[g])*2 <= n:
+		case int(count[g])*2 <= n:
 			mean[g] = -1 // absent in most members
-		case count[g] == 0:
-			mean[g] = -1
 		default:
 			mean[g] = sum[g] / float32(count[g])
 		}
@@ -316,45 +364,69 @@ func (rr *roundRunner) sweepMeanItem(w, i int) {
 	sw.meanOK[i] = true
 }
 
-// buildPostings inverts the averaged signatures into per-gram weighted
-// posting lists and precomputes the per-candidate screen constants.
-func (sw *sweepIndex) buildPostings(nr int, mode SignatureMode, G int) {
+// addPlanes adds one member's packed presence words into a row's bit-planes:
+// a ripple-carry add of one bit per gram. The caller keeps every count below
+// 1<<sweepPlanes.
+//
+//dnalint:hotpath
+func addPlanes(row *planeRow, member *[sweepWords]uint64) {
+	for w, c := range member {
+		for p := 0; p < sweepPlanes && c != 0; p++ {
+			x := row[p][w]
+			row[p][w] = x ^ c
+			c &= x
+		}
+	}
+}
+
+// planesMeanRow writes the mean row float32(k_g)/float32(n) of a row's
+// bit-planes into mean (one entry per gram) and returns B = Σ_g k_g.
+//
+//dnalint:hotpath
+func planesMeanRow(row *planeRow, n int, mean []float32) int32 {
+	var quot [1 << sweepPlanes]float32
+	for k := range quot {
+		quot[k] = float32(k) / float32(n)
+	}
+	for g := range mean {
+		w, b := g>>6, uint(g)&63
+		k := 0
+		for p := range row {
+			k |= int(row[p][w]>>b&1) << p
+		}
+		mean[g] = quot[k]
+	}
+	B := 0
+	for p := range row {
+		for _, x := range row[p] {
+			B += bits.OnesCount64(x) << p
+		}
+	}
+	return int32(B)
+}
+
+// buildPostings inverts the WGram averaged signatures into per-gram weighted
+// posting lists and counts each candidate's present grams.
+func (sw *sweepIndex) buildPostings(nr, G int) {
 	off := ensureInt32(&sw.postOff, G+1)
 	for g := range off {
 		off[g] = 0
 	}
-	if mode == QGram {
-		sw.base = ensureFloat32(&sw.base, nr)
-	} else {
-		sw.presCnt = ensureInt32(&sw.presCnt, nr)
-	}
+	sw.presCnt = ensureInt32(&sw.presCnt, nr)
 	total := 0
 	for j := 0; j < nr; j++ {
 		if !sw.meanOK[j] {
 			continue
 		}
-		row := sw.meanBuf[j*G : (j+1)*G]
-		if mode == QGram {
-			var b float32
-			for g, m := range row {
-				if m > 0 {
-					off[g+1]++
-					total++
-					b += m
-				}
+		c := int32(0)
+		for g, m := range sw.meanBuf[j*G : (j+1)*G] {
+			if m >= 0 {
+				off[g+1]++
+				total++
+				c++
 			}
-			sw.base[j] = b
-		} else {
-			c := int32(0)
-			for g, m := range row {
-				if m >= 0 {
-					off[g+1]++
-					total++
-					c++
-				}
-			}
-			sw.presCnt[j] = c
 		}
+		sw.presCnt[j] = c
 	}
 	for g := 0; g < G; g++ {
 		off[g+1] += off[g]
@@ -367,9 +439,8 @@ func (sw *sweepIndex) buildPostings(nr int, mode SignatureMode, G int) {
 		if !sw.meanOK[j] {
 			continue
 		}
-		row := sw.meanBuf[j*G : (j+1)*G]
-		for g, m := range row {
-			if (mode == QGram && m > 0) || (mode != QGram && m >= 0) {
+		for g, m := range sw.meanBuf[j*G : (j+1)*G] {
+			if m >= 0 {
 				postJ[cursor[g]] = int32(j)
 				postV[cursor[g]] = m
 				cursor[g]++
@@ -410,7 +481,8 @@ func (rr *roundRunner) sweepStragglerItem(w, i int) {
 		return
 	}
 	if len(ties) > 1 {
-		// Only the band's distances are exact; the list ahead of it carries d̃.
+		// Only the band's distances are exact; the list ahead of it carries
+		// its screen key d̃.
 		for _, c := range ties {
 			if int(c) < nIn {
 				cands[c].d = sw.gs.set.meanDistance(ws.sig, sw.meanRow(cands[c].j))
@@ -429,8 +501,8 @@ func (rr *roundRunner) sweepStragglerItem(w, i int) {
 
 // sweepSelect returns straggler i's edit-check list: as a set, the first
 // limit candidates of the reference's exact (meanDistance, index) ranking.
-// The first nIn lie below the band and carry their approximate distance d̃;
-// the rest come from the band in exact (distance, index) order. recomputes
+// The first nIn lie below the band and carry their screen key d̃; the rest
+// come from the band in exact (distance, index) order. recomputes
 // counts the band's meanDistance calls. The straggler's signature is left in
 // ws.sig.
 func (rr *roundRunner) sweepSelect(ws *sweepWorker, i int) (cands []sweepCand, nIn, recomputes int) {
@@ -488,86 +560,108 @@ func (rr *roundRunner) sweepSelect(ws *sweepWorker, i int) (cands []sweepCand, n
 	return cands, nIn, recomputes
 }
 
-// screen fills ws.dtil[j] with the approximate distance d̃ from sig to
-// cluster j's averaged signature, for every j < nr, and returns it. Epoch
-// stamps make the accumulators valid only for candidates touched by sig.
+// screen fills ws.dtil[j] with the screen key d̃ of sig against cluster j's
+// averaged signature, for every j < nr, and returns it: the exact integer
+// sweepKeyScale·R in QGram mode, the approximate distance in WGram mode.
 func (sw *sweepIndex) screen(ws *sweepWorker, sig []int32, nr int) []float32 {
-	mode := sw.gs.set.mode
+	dtil := ensureFloat32(&ws.dtil, nr)
+	if sw.gs.set.mode == QGram {
+		P := packPresence(sig, &ws.pres)
+		screenPlanes(&ws.pres, P, sw.planes[:nr], sw.countSum[:nr], sw.keyScale[:nr], sw.meanOK[:nr], dtil)
+		return dtil
+	}
+
+	// WGram: epoch stamps make the accumulators valid only for candidates
+	// touched by sig.
 	acc := ensureFloat32(&ws.acc, nr)
 	shared := ensureInt32(&ws.shared, nr)
 	stamp := ensureInt32(&ws.stamp, nr)
 	ws.epoch++
 	ep := ws.epoch
 	P := int32(0)
-	if mode == QGram {
-		for g, v := range sig {
-			if v == 0 {
-				continue
-			}
-			P++
-			for p := sw.postOff[g]; p < sw.postOff[g+1]; p++ {
-				j := sw.postJ[p]
-				if stamp[j] != ep {
-					stamp[j] = ep
-					acc[j] = 0
-				}
-				acc[j] += sw.postV[p]
-			}
+	for g, v := range sig {
+		if v == wgramAbsent {
+			continue
 		}
-	} else {
-		for g, v := range sig {
-			if v == wgramAbsent {
-				continue
+		P++
+		fv := float32(v)
+		for p := sw.postOff[g]; p < sw.postOff[g+1]; p++ {
+			j := sw.postJ[p]
+			if stamp[j] != ep {
+				stamp[j] = ep
+				acc[j] = 0
+				shared[j] = 0
 			}
-			P++
-			fv := float32(v)
-			for p := sw.postOff[g]; p < sw.postOff[g+1]; p++ {
-				j := sw.postJ[p]
-				if stamp[j] != ep {
-					stamp[j] = ep
-					acc[j] = 0
-					shared[j] = 0
-				}
-				d := fv - sw.postV[p]
-				if d < 0 {
-					d = -d
-				}
-				if d > wgramCap {
-					d = wgramCap
-				}
-				acc[j] += d
-				shared[j]++
+			d := fv - sw.postV[p]
+			if d < 0 {
+				d = -d
 			}
+			if d > wgramCap {
+				d = wgramCap
+			}
+			acc[j] += d
+			shared[j]++
 		}
 	}
-
-	dtil := ensureFloat32(&ws.dtil, nr)
 	for j := range dtil {
-		var d float32
+		var s int32
+		var a float32
+		if stamp[j] == ep {
+			s, a = shared[j], acc[j]
+		}
 		switch {
 		case !sw.meanOK[j]:
-			d = sigMissingFarMean
-		case mode == QGram:
-			var wsum float32
-			if stamp[j] == ep {
-				wsum = acc[j]
-			}
-			d = float32(P) + sw.base[j] - 2*wsum
+			dtil[j] = sigMissingFarMean
+		case s < wgramMinOverlap:
+			dtil[j] = WGramFar // exact: overlap transfers as an integer
 		default:
-			var s int32
-			var a float32
-			if stamp[j] == ep {
-				s, a = shared[j], acc[j]
-			}
-			if s < wgramMinOverlap {
-				d = WGramFar // exact: overlap transfers as an integer
-			} else {
-				d = wgramCap*float32(P+sw.presCnt[j]-2*s) + a
-			}
+			dtil[j] = wgramCap*float32(P+sw.presCnt[j]-2*s) + a
 		}
-		dtil[j] = d
 	}
 	return dtil
+}
+
+// packPresence packs a QGram signature of at most 64·sweepWords grams into
+// presence words (bit g set iff sig[g] is 1) and returns |P|, the number of
+// grams present.
+//
+//dnalint:hotpath
+func packPresence(sig []int32, dst *[sweepWords]uint64) int {
+	*dst = [sweepWords]uint64{}
+	P := 0
+	for g, v := range sig {
+		if v != 0 {
+			dst[g>>6] |= 1 << (uint(g) & 63)
+			P++
+		}
+	}
+	return P
+}
+
+// screenPlanes is the QGram screen: for every candidate j it writes the
+// exact key sweepKeyScale·R_j = sweepKeyScale·|P| + (sweepKeyScale/n_j)·(B_j
+// − 2S_j), with S_j = Σ_p 2^p·popcount(P ∧ plane_jp), into dtil[j]
+// (sigMissingFarMean for an invalid row). The key is at most
+// sweepKeyScale·sweepGrams, so the float32 holds it exactly. The popcounts
+// are written out word by word: a loop over the nine words runs about three
+// times slower.
+//
+//dnalint:hotpath
+func screenPlanes(pres *[sweepWords]uint64, P int, planes []planeRow, countSum, keyScale []int32, ok []bool, dtil []float32) {
+	x0, x1, x2 := pres[0], pres[1], pres[2]
+	base := sweepKeyScale * P
+	planes, countSum, keyScale, ok = planes[:len(dtil)], countSum[:len(dtil)], keyScale[:len(dtil)], ok[:len(dtil)]
+	for j := range dtil {
+		if !ok[j] {
+			dtil[j] = sigMissingFarMean
+			continue
+		}
+		r := &planes[j]
+		S := bits.OnesCount64(x0&r[0][0]) + bits.OnesCount64(x1&r[0][1]) + bits.OnesCount64(x2&r[0][2]) +
+			2*(bits.OnesCount64(x0&r[1][0])+bits.OnesCount64(x1&r[1][1])+bits.OnesCount64(x2&r[1][2])) +
+			4*(bits.OnesCount64(x0&r[2][0])+bits.OnesCount64(x1&r[2][1])+bits.OnesCount64(x2&r[2][2]))
+		dtil[j] = float32(base + int(keyScale[j])*(int(countSum[j])-2*S))
+	}
 }
 
 // siftUpF32 restores the max-heap property after appending to h.
