@@ -45,10 +45,11 @@ lint:
 # with e.g. `go test ./internal/rs -fuzz FuzzRSDecode -fuzztime 10m`.
 # FuzzDecodeFile's and FuzzDecodeVolume's inputs run a whole file or volume
 # decode (a read set of kilobytes for FuzzDecodeVolume), FuzzReconDispatch's
-# run every reconstruction kernel and its reference on one cluster, and
-# FuzzLevenshtein's run Levenshtein both ways, Within and Align on one pair, so
-# minimizing each new input is capped at 100 runs; uncapped, minimizing
-# stalls the exec count for much of the 30 s.
+# run every reconstruction kernel and its reference on one cluster,
+# FuzzLevenshtein's run Levenshtein both ways, Within and Align on one pair,
+# and FuzzClusterReads's run two whole clusterings of a pool, so minimizing
+# each new input is capped at 100 runs; uncapped, minimizing stalls the exec
+# count for much of the 30 s.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test ./internal/rs -run '^$$' -fuzz '^FuzzRSDecode$$' -fuzztime $(FUZZTIME)
@@ -58,6 +59,7 @@ fuzz-smoke:
 	$(GO) test ./internal/edit -run '^$$' -fuzz '^FuzzLevenshtein$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
 	$(GO) test ./internal/edit -run '^$$' -fuzz '^FuzzMyersVsDP$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzSigDistance$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzClusterReads$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
 	$(GO) test ./internal/recon -run '^$$' -fuzz '^FuzzReconDispatch$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzDecodeVolume$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
 

@@ -386,15 +386,15 @@ var NewMetricsRegistry = obs.NewRegistry
 
 // Fault injection for resilience testing (internal/chaos).
 type (
-	// ChaosFaults configures deterministic fault injection.
+	// ChaosFaults configures the stage wrappers' deterministic faults. Whole
+	// stages panic through ChaosPanicHook instead.
 	ChaosFaults = chaos.Faults
-	// ChaosSimulator wraps a Simulator with injected latency, stage panics,
-	// read drops and read truncation.
+	// ChaosSimulator wraps a Simulator with injected latency, read drops,
+	// read truncation and index scrambling.
 	ChaosSimulator = chaos.Simulator
-	// ChaosClusterer wraps a Clusterer with injected latency and panics.
+	// ChaosClusterer wraps a Clusterer with injected latency.
 	ChaosClusterer = chaos.Clusterer
-	// ChaosReconstructor wraps a Reconstructor with injected latency and
-	// panics.
+	// ChaosReconstructor wraps a Reconstructor with injected latency.
 	ChaosReconstructor = chaos.Reconstructor
 	// ChaosChannel panics on one in every N transmissions, picked from each
 	// transmission's own random stream, exercising the simulator worker

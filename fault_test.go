@@ -133,10 +133,8 @@ func TestFacadeSentinelErrors(t *testing.T) {
 	})
 	t.Run("stage panic", func(t *testing.T) {
 		_, pipe := faultTestPipeline(t)
-		pipe.Simulator = &dnastore.ChaosSimulator{
-			Inner:  pipe.Simulator,
-			Faults: dnastore.ChaosFaults{PanicEveryN: 1},
-		}
+		pipe.Metrics = dnastore.NewMetricsRegistry()
+		pipe.Metrics.OnEvent(dnastore.ChaosPanicHook("simulate", 1))
 		_, err := pipe.RunContext(context.Background(), []byte("boom"), dnastore.RunOptions{})
 		if !errors.Is(err, dnastore.ErrStagePanic) {
 			t.Fatalf("err = %v", err)

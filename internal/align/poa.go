@@ -31,7 +31,6 @@ const (
 type node struct {
 	base    dna.Base
 	preds   []int // predecessor node ids (edges into this node)
-	edgeN   []int // parallel to preds: number of reads traversing the edge
 	succs   []int // successor node ids
 	aligned []int // ids of nodes in the same alignment column
 	support int   // number of reads whose path includes this node
@@ -89,6 +88,11 @@ type poaScratch struct {
 	colReady  []int
 	colOrder  []int
 	colHdr    [][]int
+
+	// Consensus buffers: the column tally and, when the consensus is
+	// trimmed, the kept columns' histogram of gap counts.
+	cols    []Column
+	gapHist []int
 }
 
 // NewGraph returns an empty POA graph.
@@ -115,7 +119,6 @@ func (g *Graph) newNode(b dna.Base) int {
 		n := &g.nodes[len(g.nodes)-1]
 		n.base = b
 		n.preds = n.preds[:0]
-		n.edgeN = n.edgeN[:0]
 		n.succs = n.succs[:0]
 		n.aligned = n.aligned[:0]
 		n.support = 0
@@ -127,14 +130,10 @@ func (g *Graph) newNode(b dna.Base) int {
 
 func (g *Graph) addEdge(from, to int) {
 	n := &g.nodes[to]
-	for i, p := range n.preds {
-		if p == from {
-			n.edgeN[i]++
-			return
-		}
+	if slices.Contains(n.preds, from) {
+		return
 	}
 	n.preds = append(n.preds, from)
-	n.edgeN = append(n.edgeN, 1)
 	g.nodes[from].succs = append(g.nodes[from].succs, to)
 }
 
@@ -218,7 +217,7 @@ func (g *Graph) alignToGraph(s dna.Seq) []pair {
 	if g.refDP {
 		return g.alignToGraphDP(s)
 	}
-	if pairs, ok := g.alignToGraphBanded(s); ok {
+	if pairs, ok := g.alignToGraphSlack(s, alignSlack(len(s))); ok {
 		return pairs
 	}
 	// The first band missed: no alignment reaches its score bound. A read
@@ -561,18 +560,31 @@ func (g *Graph) columnNodes() [][]int {
 // Columns returns the alignment columns in order, with per-base vote counts
 // and gap counts across all added sequences.
 func (g *Graph) Columns() []Column {
+	return slices.Clone(g.tally())
+}
+
+// tally counts each alignment column's votes and gaps into the graph's
+// scratch, in column order. The returned slice is valid until the next
+// tally.
+func (g *Graph) tally() []Column {
 	colNodes := g.columnNodes()
-	out := make([]Column, len(colNodes))
+	sc := &g.scratch
+	if cap(sc.cols) < len(colNodes) {
+		sc.cols = make([]Column, len(colNodes))
+	}
+	cols := sc.cols[:len(colNodes)]
 	total := len(g.paths)
 	for i, members := range colNodes {
+		c := Column{}
 		covered := 0
 		for _, n := range members {
-			out[i].Counts[g.nodes[n].base] += g.nodes[n].support
+			c.Counts[g.nodes[n].base] += g.nodes[n].support
 			covered += g.nodes[n].support
 		}
-		out[i].Gaps = total - covered
+		c.Gaps = total - covered
+		cols[i] = c
 	}
-	return out
+	return cols
 }
 
 // Rows renders the multiple sequence alignment as one string per added
@@ -599,64 +611,58 @@ func (g *Graph) Rows() []string {
 	return rows
 }
 
-// keptColumn is one column surviving the majority filter, carrying enough
-// context for the §VII-C indel trim.
-type keptColumn struct {
-	base dna.Base
-	gaps int
-	idx  int // index into the Columns() slice; breaks gap-count ties
-}
-
-// consensusKeep applies the majority filter and the §VII-C indel-heavy trim
-// to alignment columns: columns where gaps outnumber every base are dropped,
-// and if targetLen > 0 and more than targetLen columns survive, the excess
-// columns with the highest gap counts are omitted (ties resolved by column
-// index, so the result is deterministic).
-func consensusKeep(cols []Column, targetLen int) []keptColumn {
-	var keep []keptColumn
-	for i, c := range cols {
-		if b, ok := c.Majority(); ok {
-			keep = append(keep, keptColumn{b, c.Gaps, i})
-		}
-	}
-	if targetLen > 0 && len(keep) > targetLen {
-		excess := len(keep) - targetLen
-		// Pick the `excess` kept columns with the most indels; stable and
-		// deterministic (ties resolved by column index).
-		byGaps := make([]int, len(keep))
-		for i := range byGaps {
-			byGaps[i] = i
-		}
-		sort.Slice(byGaps, func(a, b int) bool {
-			if keep[byGaps[a]].gaps != keep[byGaps[b]].gaps {
-				return keep[byGaps[a]].gaps > keep[byGaps[b]].gaps
-			}
-			return keep[byGaps[a]].idx < keep[byGaps[b]].idx
-		})
-		drop := map[int]bool{}
-		for _, i := range byGaps[:excess] {
-			drop[i] = true
-		}
-		filtered := keep[:0]
-		for i, k := range keep {
-			if !drop[i] {
-				filtered = append(filtered, k)
-			}
-		}
-		keep = filtered
-	}
-	return keep
-}
-
 // Consensus returns the per-column majority consensus. Columns where gaps
 // outnumber every base are dropped. If targetLen > 0 and the consensus is
 // longer, the excess columns with the highest gap (indel) counts are omitted,
-// as described in §VII-C of the paper.
+// the earliest first among equal counts, as described in §VII-C of the paper.
+// With warm graph scratch the returned strand is its only allocation.
 func (g *Graph) Consensus(targetLen int) dna.Seq {
-	keep := consensusKeep(g.Columns(), targetLen)
-	out := make(dna.Seq, len(keep))
-	for i, k := range keep {
-		out[i] = k.base
+	cols := g.tally()
+	kept, lo, hi := 0, 0, 0 // kept columns and their gap-count range
+	for _, c := range cols {
+		if _, ok := c.Majority(); ok {
+			if kept == 0 || c.Gaps < lo {
+				lo = c.Gaps
+			}
+			if kept == 0 || c.Gaps > hi {
+				hi = c.Gaps
+			}
+			kept++
+		}
+	}
+	// The trim drops every kept column with more than cutoff gaps, then the
+	// earliest atCutoff ones with exactly cutoff: the first excess columns
+	// in (gaps desc, index asc) order.
+	cutoff, atCutoff := hi+1, 0
+	if targetLen > 0 && kept > targetLen {
+		sc := &g.scratch
+		sc.gapHist = growInts(sc.gapHist, hi-lo+1)
+		hist := sc.gapHist
+		for i := range hist {
+			hist[i] = 0
+		}
+		for _, c := range cols {
+			if _, ok := c.Majority(); ok {
+				hist[c.Gaps-lo]++
+			}
+		}
+		excess, above := kept-targetLen, 0
+		for cutoff = hi; above+hist[cutoff-lo] < excess; cutoff-- {
+			above += hist[cutoff-lo]
+		}
+		atCutoff = excess - above
+		kept = targetLen
+	}
+	out := make(dna.Seq, 0, kept)
+	for _, c := range cols {
+		b, ok := c.Majority()
+		switch {
+		case !ok || c.Gaps > cutoff:
+		case c.Gaps == cutoff && atCutoff > 0:
+			atCutoff--
+		default:
+			out = append(out, b)
+		}
 	}
 	return out
 }

@@ -74,12 +74,6 @@ func alignSlack(m int) int {
 // costs a fraction of the full table.
 const wideBandFactor = 2
 
-// alignToGraphBanded is the windowed fast-path alignment at the first band,
-// alignSlack(len(s)).
-func (g *Graph) alignToGraphBanded(s dna.Seq) ([]pair, bool) {
-	return g.alignToGraphSlack(s, alignSlack(len(s)))
-}
-
 // alignToGraphSlack is the windowed kernel at an explicit slack. It returns
 // ok == false when no alignment reaches the pruning bound, in which case the
 // caller must retry with more slack or run the exhaustive DP; when ok, the

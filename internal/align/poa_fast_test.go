@@ -88,7 +88,7 @@ func TestBandedFallbackHopeless(t *testing.T) {
 	// A 160-base random read shares ~25% of bases with the graph: expected
 	// score far below 2m - slack, so the bound cannot be met.
 	junk := dna.Random(rng, 160)
-	if _, ok := g.alignToGraphBanded(junk); ok {
+	if _, ok := g.alignToGraphSlack(junk, alignSlack(len(junk))); ok {
 		t.Fatal("random 160-base read against an unrelated graph met the pruning bound")
 	}
 	got := clonePairs(g.alignToGraph(junk))
@@ -107,7 +107,7 @@ func TestBandedAcceptsCleanRead(t *testing.T) {
 	g := NewGraph()
 	g.AddSequence(ref)
 	g.AddSequence(mutate(rng, ref, 0.03))
-	if _, ok := g.alignToGraphBanded(ref); !ok {
+	if _, ok := g.alignToGraphSlack(ref, alignSlack(len(ref))); !ok {
 		t.Fatal("clean read rejected by the banded kernel")
 	}
 }

@@ -364,6 +364,21 @@ func TestAddSequenceStopsAllocating(t *testing.T) {
 	}
 }
 
+// TestConsensusAllocatesOnlyStrand pins the consensus tally and trim to
+// graph scratch: once a graph has served a cluster, Consensus allocates the
+// returned strand and nothing else, untrimmed or trimmed.
+func TestConsensusAllocatesOnlyStrand(t *testing.T) {
+	g := NewGraph()
+	for i, reads := range noisyPointClusters(t, 20) {
+		g.ConsensusOf(reads, 128)
+		for _, targetLen := range []int{0, 128, 100} {
+			if n := testing.AllocsPerRun(10, func() { g.Consensus(targetLen) }); n != 1 {
+				t.Errorf("cluster %d, targetLen %d: Consensus allocates %.0f objects, want 1 (the strand)", i, targetLen, n)
+			}
+		}
+	}
+}
+
 func TestGraphDeterminism(t *testing.T) {
 	rng := xrand.New(3)
 	ref := dna.Random(rng, 50)

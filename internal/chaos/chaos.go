@@ -1,11 +1,14 @@
 // Package chaos injects seeded, deterministic faults into DNA storage
 // pipeline modules, for driving degradation tests against the fault-tolerant
-// runtime in internal/core. Two granularities are provided:
+// runtime in internal/core. Three granularities are provided:
 //
 //   - Stage wrappers (Simulator, Clusterer, Reconstructor) decorate a whole
-//     pipeline stage with injected latency, whole-stage panics, and — for the
-//     simulator — read drops and read truncation. A stage panic exercises
-//     the orchestrator's panic containment (core.ErrStagePanic).
+//     pipeline stage with injected latency and — for the simulator — read
+//     drops, read truncation and index scrambling.
+//   - PanicHook panics on every Nth entry into a named stage from the
+//     observability hooks, so it reaches every stage, wrapped or not. A
+//     stage panic exercises the orchestrator's panic containment
+//     (core.ErrStagePanic).
 //   - Work-item wrappers (Channel, Algorithm) decorate the units the
 //     built-in worker pools iterate over, panicking on one in every N
 //     transmissions or clusters. These exercise the per-item salvage paths:
@@ -13,9 +16,9 @@
 //     an erasure, and the outer Reed–Solomon code absorbs both (§IV).
 //
 // All injection is driven by Faults.Seed, deterministic counting of stage
-// calls, and the work items themselves (a transmission's own random stream,
-// a cluster's reads), so a chaotic run is exactly reproducible at any worker
-// count.
+// entries, and the work items themselves (a transmission's own random
+// stream, a cluster's reads), so a chaotic run is exactly reproducible at
+// any worker count.
 package chaos
 
 import (
@@ -56,10 +59,6 @@ type Faults struct {
 	// work happens. The injected sleep honours context cancellation, so
 	// deadline tests abort promptly.
 	StageLatency time.Duration
-	// PanicEveryN makes every Nth wrapped stage call panic. (Channel and
-	// Algorithm carry their own PanicEveryN, which picks one in every N
-	// transmissions or clusters.) 0 never panics.
-	PanicEveryN int
 }
 
 // PanicHook returns an obs.Hook that panics on every everyN'th StageBegin
@@ -67,8 +66,7 @@ type Faults struct {
 // spine instead of wrapping a module. Because hooks run synchronously on the
 // stage's goroutine, the panic erupts inside the orchestrator's stage
 // boundary and must surface as core.ErrStagePanic carrying the stage name.
-// A third injection granularity alongside the stage and work-item wrappers:
-// it needs no knowledge of the stage's interface, so it also reaches stages
+// It needs no knowledge of the stage's interface, so it also reaches stages
 // that have no wrapper (encode, decode, demux). everyN <= 0 never panics.
 func PanicHook(stage string, everyN int) obs.Hook {
 	var calls counter
@@ -135,21 +133,16 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 }
 
 // Simulator wraps a core.Simulator with fault injection: injected stage
-// latency, whole-stage panics, read drops and read truncation. Use a
-// pointer so the call counter is shared across invocations.
+// latency, read drops, read truncation and index scrambling.
 type Simulator struct {
 	Inner  core.Simulator
 	Faults Faults
-	calls  counter
 }
 
 // Simulate implements core.Simulator.
 func (s *Simulator) Simulate(ctx context.Context, strands []dna.Seq) ([]sim.Read, error) {
 	if err := sleepCtx(ctx, s.Faults.StageLatency); err != nil {
 		return nil, err
-	}
-	if s.calls.tick(s.Faults.PanicEveryN) {
-		panic("chaos: injected simulator panic")
 	}
 	reads, err := s.Inner.Simulate(ctx, strands)
 	if err != nil {
@@ -166,9 +159,6 @@ func (s *Simulator) Simulate(ctx context.Context, strands []dna.Seq) ([]sim.Read
 func (s *Simulator) SimulateVolume(ctx context.Context, volume uint32, strands []dna.Seq) ([]sim.Read, error) {
 	if err := sleepCtx(ctx, s.Faults.StageLatency); err != nil {
 		return nil, err
-	}
-	if s.calls.tick(s.Faults.PanicEveryN) {
-		panic("chaos: injected simulator panic")
 	}
 	var reads []sim.Read
 	var err error
@@ -217,21 +207,16 @@ func (s *Simulator) applyReadFaults(ctx context.Context, reads []sim.Read, rng *
 	return out, nil
 }
 
-// Clusterer wraps a core.Clusterer with injected stage latency and
-// whole-stage panics.
+// Clusterer wraps a core.Clusterer with injected stage latency.
 type Clusterer struct {
 	Inner  core.Clusterer
 	Faults Faults
-	calls  counter
 }
 
 // Cluster implements core.Clusterer.
 func (c *Clusterer) Cluster(ctx context.Context, reads []dna.Seq) (cluster.Result, error) {
 	if err := sleepCtx(ctx, c.Faults.StageLatency); err != nil {
 		return cluster.Result{}, err
-	}
-	if c.calls.tick(c.Faults.PanicEveryN) {
-		panic("chaos: injected clusterer panic")
 	}
 	return c.Inner.Cluster(ctx, reads)
 }
@@ -242,30 +227,22 @@ func (c *Clusterer) ClusterVolume(ctx context.Context, volume uint32, reads []dn
 	if err := sleepCtx(ctx, c.Faults.StageLatency); err != nil {
 		return cluster.Result{}, err
 	}
-	if c.calls.tick(c.Faults.PanicEveryN) {
-		panic("chaos: injected clusterer panic")
-	}
 	if vc, ok := c.Inner.(core.VolumeClusterer); ok {
 		return vc.ClusterVolume(ctx, volume, reads)
 	}
 	return c.Inner.Cluster(ctx, reads)
 }
 
-// Reconstructor wraps a core.Reconstructor with injected stage latency and
-// whole-stage panics.
+// Reconstructor wraps a core.Reconstructor with injected stage latency.
 type Reconstructor struct {
 	Inner  core.Reconstructor
 	Faults Faults
-	calls  counter
 }
 
 // ReconstructAll implements core.Reconstructor.
 func (r *Reconstructor) ReconstructAll(ctx context.Context, clusters [][]dna.Seq, targetLen int) ([]dna.Seq, error) {
 	if err := sleepCtx(ctx, r.Faults.StageLatency); err != nil {
 		return nil, err
-	}
-	if r.calls.tick(r.Faults.PanicEveryN) {
-		panic("chaos: injected reconstructor panic")
 	}
 	return r.Inner.ReconstructAll(ctx, clusters, targetLen)
 }

@@ -120,28 +120,11 @@ func TestChaosIsDeterministic(t *testing.T) {
 	}
 }
 
-func TestStagePanicIsContained(t *testing.T) {
-	c := testCodec(t)
-	p := &core.Pipeline{
-		Codec: c,
-		Simulator: &Simulator{
-			Inner:  core.PoolSimulator{Options: sim.Options{Channel: sim.CalibratedIID(0.01), Coverage: sim.FixedCoverage(4), Seed: 1}},
-			Faults: Faults{PanicEveryN: 1},
-		},
-		Clusterer:     core.OptionsClusterer{Options: cluster.Options{Seed: 2}},
-		Reconstructor: core.AlgorithmReconstructor{Algorithm: recon.NW{}},
-	}
-	_, err := p.RunContext(context.Background(), []byte("boom"), core.RunOptions{})
-	if !errors.Is(err, core.ErrStagePanic) {
-		t.Fatalf("err = %v, want core.ErrStagePanic", err)
-	}
-}
-
 func TestPanicHookSurfacesAsStagePanic(t *testing.T) {
 	// A PanicHook rides the observability spine: it panics inside the stage
 	// boundary, so the orchestrator must wrap it as ErrStagePanic carrying
 	// the stage's name, and the sink registry must count the contained panic.
-	for _, stage := range []string{"encode", "cluster"} {
+	for _, stage := range []string{"encode", "simulate", "cluster"} {
 		t.Run(stage, func(t *testing.T) {
 			c := testCodec(t)
 			p := &core.Pipeline{

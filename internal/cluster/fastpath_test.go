@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -247,15 +248,31 @@ func TestFillRandomSeqMatchesDnaRandom(t *testing.T) {
 	}
 }
 
-// TestGramSetScratchMatchesNewGramSet pins that fill() consumes the rng and
-// produces grams/codes exactly like newGramSet.
+// TestGramSetScratchMatchesNewGramSet pins the gram draw: newGramSet and the
+// scratch's fill both give the codes of count grams drawn with dna.Random and
+// packed first base most significant, and leave the rng where that draw
+// leaves it.
 func TestGramSetScratchMatchesNewGramSet(t *testing.T) {
 	var gsc gramSetScratch
-	for _, tc := range []struct{ count, q int }{{48, 4}, {144, 4}, {10, 6}} {
-		want := newGramSet(xrand.Derive(7, 3), WGram, tc.count, tc.q)
-		gsc.fill(xrand.Derive(7, 3), WGram, tc.count, tc.q)
-		if !reflect.DeepEqual(want.grams, gsc.set.grams) || !reflect.DeepEqual(want.codes, gsc.set.codes) {
-			t.Fatalf("count=%d q=%d: scratch gram set diverges", tc.count, tc.q)
+	for q := 1; q <= maxRollingQ; q++ {
+		for _, count := range []int{0, 48, 144} {
+			oracle := xrand.Derive(7, uint64(q))
+			want := make([]uint32, count)
+			for i := range want {
+				for _, b := range dna.Random(oracle, q) {
+					want[i] = want[i]<<2 | uint32(b)
+				}
+			}
+			next := oracle.Uint64()
+			rng, scratchRng := xrand.Derive(7, uint64(q)), xrand.Derive(7, uint64(q))
+			gs := newGramSet(rng, WGram, count, q)
+			gsc.fill(scratchRng, WGram, count, q)
+			if !slices.Equal(gs.codes, want) || !slices.Equal(gsc.set.codes, want) {
+				t.Fatalf("count=%d q=%d: gram codes diverge from packed dna.Random grams", count, q)
+			}
+			if rng.Uint64() != next || scratchRng.Uint64() != next {
+				t.Fatalf("count=%d q=%d: rng stream position diverges after the draw", count, q)
+			}
 		}
 	}
 }
@@ -274,15 +291,15 @@ func TestSignatureIntoMatchesScratch(t *testing.T) {
 		idx.build(gs)
 		read := dna.Random(rng, rng.Intn(150))
 		want := gs.signatureScratch(read, &sc)
-		got := make([]int32, len(gs.grams))
+		got := make([]int32, len(gs.codes))
 		idx.signatureInto(gs, read, got)
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("mode=%v q=%d len=%d: signatureInto diverges", mode, q, len(read))
 		}
 		if mode == QGram {
-			wantBits := make([]uint64, sigWords(len(gs.grams)))
+			wantBits := make([]uint64, sigWords(len(gs.codes)))
 			packQSig(want, wantBits)
-			gotBits := make([]uint64, sigWords(len(gs.grams)))
+			gotBits := make([]uint64, sigWords(len(gs.codes)))
 			idx.qsigBitsInto(gs, read, gotBits)
 			if !reflect.DeepEqual(wantBits, gotBits) {
 				t.Fatalf("q=%d len=%d: qsigBitsInto diverges from packed reference", q, len(read))
@@ -469,11 +486,12 @@ func BenchmarkClusterStage(b *testing.B) {
 	}
 }
 
-// TestAutoEditThresholdFilterIdentity pins the q-gram counting filter's
-// soundness end to end: the filtered calibration returns the same threshold
-// as the reference (filterless) variant, because every skipped pair is one
-// the reference's edit-distance call would have rejected anyway.
-func TestAutoEditThresholdFilterIdentity(t *testing.T) {
+// TestCalibScreenMatchesScan pins the screened nearest-neighbour search to
+// the sequential scan it stands in for: on each pool, for every calibration
+// probe at a spread of diff medians, a value calibNearestScreened resolves
+// equals calibNearestScan's. The singleton pool resolves nothing, since no
+// probe has a same-strand partner within the screen band.
+func TestCalibScreenMatchesScan(t *testing.T) {
 	for _, tc := range []struct {
 		seed     uint64
 		strands  int
@@ -485,19 +503,34 @@ func TestAutoEditThresholdFilterIdentity(t *testing.T) {
 		{202, 60, 100, 5, 0.08},
 		{203, 200, 150, 4, 0.01},
 		{204, 40, 60, 8, 0.05},
-		{205, 150, 110, 1, 0.03}, // singletons: screened search falls back
+		{205, 150, 110, 1, 0.03},
 	} {
 		reads, _ := makePool(t, tc.seed, tc.strands, tc.length, tc.coverage, tc.rate)
-		readLen := 0
-		for _, r := range reads {
-			if len(r) > readLen {
-				readLen = len(r)
+		// The probes and sample autoEditThreshold draws.
+		perm := xrand.Derive(tc.seed, 0xc0f3).Perm(len(reads))
+		probes := perm[:min(48, len(reads))]
+		sample := perm[len(perm)-min(2000, len(reads)):]
+		sampleBits := make([]calibPresence, len(sample))
+		for j, sj := range sample {
+			calibPresenceOf(reads[sj], &sampleBits[j])
+		}
+		var pb calibPresence
+		var es edit.Scratch
+		resolved := 0
+		for _, pi := range probes {
+			for _, median := range []int{3, 8, 20, 45, 70} {
+				got, done := calibNearestScreened(reads, pi, sample, sampleBits, median, &pb, &es)
+				if !done {
+					continue
+				}
+				resolved++
+				if want := calibNearestScan(reads, pi, sample, median, &es); got != want {
+					t.Fatalf("pool %d, probe %d, median %d: screened search = %d, scan = %d", tc.seed, pi, median, got, want)
+				}
 			}
 		}
-		ref := autoEditThresholdOpt(reads, readLen, xrand.Derive(tc.seed, 0xc0f3), false)
-		got := autoEditThresholdOpt(reads, readLen, xrand.Derive(tc.seed, 0xc0f3), true)
-		if got != ref {
-			t.Errorf("pool %d: filtered autoEditThreshold = %d, reference = %d", tc.seed, got, ref)
+		if (resolved == 0) != (tc.coverage == 1) {
+			t.Errorf("pool %d: the screen resolved %d probe-median pairs", tc.seed, resolved)
 		}
 	}
 }

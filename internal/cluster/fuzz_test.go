@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -132,6 +134,92 @@ func FuzzSigDistance(f *testing.F) {
 		// everywhere, not merely above/below the threshold.
 		if got := wgramDistanceWithin(refA, refB, WGramFar+1); got != refD {
 			t.Fatalf("wgramDistanceWithin(th>WGramFar) = %d, reference %d", got, refD)
+		}
+	})
+}
+
+// fuzzPool decodes a fuzzer input into clustering options and a pool of up
+// to 40 reads of 0–40 bases. The first byte picks the signature mode (bit
+// 0), turns the straggler sweep off (bit 1) and picks GramLen from the rest:
+// 0..maxRollingQ, or maxRollingQ+1, which ClusterContext must reject. Each
+// read is a header byte — its length, mod 41, in the low six bits and up to
+// three identical copies in the top two — followed by its bases.
+func fuzzPool(data []byte) (Options, []dna.Seq) {
+	if len(data) == 0 {
+		return Options{}, nil
+	}
+	flags := data[0]
+	o := Options{
+		Mode:             SignatureMode(flags & 1),
+		NoStragglerSweep: flags&2 != 0,
+		GramLen:          int(flags>>2) % (maxRollingQ + 2),
+		Seed:             uint64(flags),
+	}
+	var reads []dna.Seq
+	for rest := data[1:]; len(rest) > 0 && len(reads) < 40; {
+		h := rest[0]
+		n := min(int(h&63)%41, len(rest)-1)
+		r := fuzzRead(rest[1 : 1+n])
+		rest = rest[1+n:]
+		for c := 0; c <= int(h>>6) && len(reads) < 40; c++ {
+			reads = append(reads, r)
+		}
+	}
+	return o, reads
+}
+
+// FuzzClusterReads drives ClusterContext with degenerate pools: empty reads,
+// reads shorter than the gram length, runs of identical reads. An
+// out-of-range GramLen must give exactly ErrOptions; any other input must
+// give a partition of the reads (each once, clusters ascending, ordered by
+// first member), the same partition and work counters at 1 and 2 workers.
+func FuzzClusterReads(f *testing.F) {
+	f.Add([]byte{0x00, 0x05, 0, 1, 2, 3, 0})
+	f.Add([]byte{0x01, 0xc3, 1, 2, 3, 0x00, 0x82, 3, 3})
+	f.Add([]byte{0x22, 0xca, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 0xca, 0, 1, 2, 3, 0, 1, 2, 3, 0, 2})
+	f.Add([]byte{0x13, 0x28, 0, 0, 1, 1, 2, 2, 3, 3, 0, 0, 1, 1, 2, 2, 3, 3, 0, 0, 1, 1, 2, 2, 3, 3, 0, 0, 1, 1, 2, 2, 3, 3, 0, 0, 1, 1, 2, 2, 3, 3})
+	f.Add([]byte{0x24, 0x04, 0, 1, 2, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		o, reads := fuzzPool(data)
+		if len(reads) == 0 {
+			return
+		}
+		var first Result
+		for _, workers := range []int{1, 2} {
+			o.Workers = workers
+			res, err := ClusterContext(context.Background(), reads, o)
+			if o.GramLen > maxRollingQ {
+				if !errors.Is(err, ErrOptions) {
+					t.Fatalf("GramLen %d: err = %v, want ErrOptions", o.GramLen, err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("workers %d: %v", workers, err)
+			}
+			seen := make([]bool, len(reads))
+			for c, members := range res.Clusters {
+				if len(members) == 0 || (c > 0 && members[0] <= res.Clusters[c-1][0]) {
+					t.Fatalf("workers %d: cluster %d %v is empty or out of order", workers, c, members)
+				}
+				for k, r := range members {
+					if r < 0 || r >= len(reads) || seen[r] || (k > 0 && r <= members[k-1]) {
+						t.Fatalf("workers %d: cluster %d %v repeats, misorders or invents a read", workers, c, members)
+					}
+					seen[r] = true
+				}
+			}
+			for r, ok := range seen {
+				if !ok {
+					t.Fatalf("workers %d: read %d is in no cluster", workers, r)
+				}
+			}
+			res.Stats.SignatureTime, res.Stats.ClusterTime = 0, 0
+			if workers == 1 {
+				first = res
+			} else if !reflect.DeepEqual(res, first) {
+				t.Fatalf("2 workers gave %+v, 1 worker %+v", res, first)
+			}
 		}
 	})
 }

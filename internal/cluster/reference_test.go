@@ -252,12 +252,12 @@ func stragglerSweep(ctx context.Context, reads []dna.Seq, uf *unionFind, o Optio
 		}
 		// Accumulators come from the worker's scratch and must be re-zeroed
 		// (a fresh make would zero them too; this just skips the allocation).
-		if cap(sc.sum) < len(grams.grams) {
-			sc.sum = make([]float32, len(grams.grams))
-			sc.count = make([]int32, len(grams.grams))
+		if cap(sc.sum) < len(grams.codes) {
+			sc.sum = make([]float32, len(grams.codes))
+			sc.count = make([]int32, len(grams.codes))
 		}
-		sum := sc.sum[:len(grams.grams)]
-		count := sc.count[:len(grams.grams)]
+		sum := sc.sum[:len(grams.codes)]
+		count := sc.count[:len(grams.codes)]
 		for g := range sum {
 			sum[g] = 0
 			count[g] = 0
@@ -277,7 +277,7 @@ func stragglerSweep(ctx context.Context, reads []dna.Seq, uf *unionFind, o Optio
 				}
 			}
 		}
-		mean := make([]float32, len(grams.grams))
+		mean := make([]float32, len(grams.codes))
 		for g := range mean {
 			switch {
 			case grams.mode == WGram && int(count[g])*2 <= n:
@@ -417,7 +417,7 @@ func (gs gramSet) signature(read dna.Seq) []int32 {
 // (callers retain signatures across the whole round); only the internal
 // table is reused, so results are bit-identical to signature.
 func (gs gramSet) signatureScratch(read dna.Seq, sc *sigScratch) []int32 {
-	sig := make([]int32, len(gs.grams))
+	sig := make([]int32, len(gs.codes))
 	table := gs.firstOccurrencesInto(read, sc)
 	for i, code := range gs.codes {
 		pos := table[code]

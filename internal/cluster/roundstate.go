@@ -108,9 +108,8 @@ func packedKeyHash(key uint64) uint64 {
 }
 
 // fillRandomSeq draws bases into s with exactly dna.Random's rng consumption
-// (pinned by TestFillRandomSeqMatchesDnaRandom), so scratch-backed anchors
-// and gram sets see the same stream as the reference path's freshly
-// allocated ones.
+// (pinned by TestFillRandomSeqMatchesDnaRandom), so the scratch-backed
+// anchor sees the same stream as the reference path's freshly allocated one.
 func fillRandomSeq(rng *xrand.RNG, s dna.Seq) {
 	for i := range s {
 		s[i] = dna.Base(rng.Intn(dna.NumBases))
@@ -118,38 +117,22 @@ func fillRandomSeq(rng *xrand.RNG, s dna.Seq) {
 }
 
 // gramSetScratch rebuilds a gramSet (and its chain index) in place each
-// round: the gram sequences alias one flat base buffer, so drawing a fresh
-// set costs no allocation after warmup.
+// round, so drawing a fresh set costs no allocation after warmup.
 //
 //dnalint:scratch
 type gramSetScratch struct {
-	buf   dna.Seq
-	grams []dna.Seq
 	codes []uint32
 	set   gramSet
 	idx   gramIndex
 }
 
 // fill redraws the scratch's gram set: count grams of length q from rng,
-// consuming rng exactly like newGramSet.
+// drawn like newGramSet's.
 func (g *gramSetScratch) fill(rng *xrand.RNG, mode SignatureMode, count, q int) {
-	if cap(g.buf) < count*q {
-		g.buf = make(dna.Seq, count*q)
-	}
-	if cap(g.grams) < count {
-		g.grams = make([]dna.Seq, count)
-	}
 	if cap(g.codes) < count {
 		g.codes = make([]uint32, count)
 	}
-	buf, grams, codes := g.buf[:count*q], g.grams[:count], g.codes[:count]
-	for i := 0; i < count; i++ {
-		s := buf[i*q : (i+1)*q : (i+1)*q]
-		fillRandomSeq(rng, s)
-		grams[i] = s
-		codes[i] = packGram(s)
-	}
-	g.set = gramSet{mode: mode, q: q, grams: grams, codes: codes}
+	g.set = gramSet{mode: mode, q: q, codes: drawGrams(rng, g.codes[:count], q)}
 	g.idx.build(g.set)
 }
 
@@ -210,11 +193,9 @@ type roundRunner struct {
 	reps      []int32 // dense -> representative read id
 
 	// Partition grouping: (key, root) entries sorted by key, with group
-	// boundaries in groupOff; aw is the worker count the groups were
-	// strided over (locates each group's proposal buffer).
+	// boundaries in groupOff.
 	parts    partSlice
 	groupOff []int32
-	aw       int
 
 	// Signatures, one row per dense root. sigOK replaces the reference
 	// path's nil-signature convention: false means the row carries no
@@ -425,7 +406,6 @@ func (rr *roundRunner) runRound(rng *xrand.RNG, round int) {
 	if aw < 1 {
 		aw = 1
 	}
-	rr.aw = aw
 	for w := 0; w < aw; w++ {
 		rr.wprops[w] = rr.wprops[w][:0]
 	}

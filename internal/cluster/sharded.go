@@ -80,6 +80,7 @@ func ShardedContext(ctx context.Context, reads []dna.Seq, shards int, opts Optio
 		stats.EditDistanceCalls += st.EditDistanceCalls
 		stats.Merges += st.Merges
 		stats.CheapMerges += st.CheapMerges
+		stats.SweepRecomputes += st.SweepRecomputes
 		if st.SignatureTime > stats.SignatureTime {
 			stats.SignatureTime = st.SignatureTime // parallel: max, not sum
 		}
@@ -104,6 +105,7 @@ func ShardedContext(ctx context.Context, reads []dna.Seq, shards int, opts Optio
 	stats.EditDistanceCalls += meta.Stats.EditDistanceCalls
 	stats.Merges += meta.Stats.Merges
 	stats.CheapMerges += meta.Stats.CheapMerges
+	stats.SweepRecomputes += meta.Stats.SweepRecomputes
 	stats.SignatureTime += meta.Stats.SignatureTime
 	stats.ClusterTime += meta.Stats.ClusterTime
 	stats.Rounds = meta.Stats.Rounds

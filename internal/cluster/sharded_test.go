@@ -95,3 +95,42 @@ func TestShardedCountsMetaRoundCheapMerges(t *testing.T) {
 		t.Fatalf("CheapMerges = %d, want the meta round's 6", res.Stats.CheapMerges)
 	}
 }
+
+// TestShardedStatsSumShardAndMetaRuns pins ShardedContext's work counters
+// to the ClusterContext runs it is made of: each shard's and the meta
+// round's, recomputed here from the same derived seeds, in both modes.
+func TestShardedStatsSumShardAndMetaRuns(t *testing.T) {
+	const shards = 4
+	reads, _ := makePool(t, 61, 250, 128, 10, 0.06)
+	for _, mode := range []SignatureMode{QGram, WGram} {
+		opts := Options{Mode: mode, Seed: 52, Workers: 2}
+		got := mustSharded(t, reads, shards, opts).Stats
+		var want Stats
+		var reps []dna.Seq
+		for s := 0; s < shards; s++ {
+			var shardReads []dna.Seq
+			for i := s; i < len(reads); i += shards {
+				shardReads = append(shardReads, reads[i])
+			}
+			so := opts
+			so.Seed = xrand.Derive(opts.Seed, uint64(s)).Uint64()
+			res := mustCluster(t, shardReads, so)
+			want.Add(res.Stats)
+			for _, c := range res.Clusters {
+				reps = append(reps, shardReads[c[0]])
+			}
+		}
+		mo := opts
+		mo.Seed = xrand.Derive(opts.Seed, 0x5ecd).Uint64()
+		want.Add(mustCluster(t, reps, mo).Stats)
+		if want.SweepRecomputes == 0 {
+			t.Fatalf("mode %v: the shard and meta runs made no sweep recomputes", mode)
+		}
+		if got.EditDistanceCalls != want.EditDistanceCalls || got.Merges != want.Merges ||
+			got.CheapMerges != want.CheapMerges || got.SweepRecomputes != want.SweepRecomputes {
+			t.Errorf("mode %v: sharded edit calls, merges, cheap merges, recomputes = %d, %d, %d, %d; shard and meta runs sum to %d, %d, %d, %d",
+				mode, got.EditDistanceCalls, got.Merges, got.CheapMerges, got.SweepRecomputes,
+				want.EditDistanceCalls, want.Merges, want.CheapMerges, want.SweepRecomputes)
+		}
+	}
+}

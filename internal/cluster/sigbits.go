@@ -42,11 +42,10 @@ func hammingPacked(a, b []uint64) int {
 	return d
 }
 
-// wgramDistanceWithin is gramSet.distance for WGram signatures with a
-// running-sum early exit against thetaHigh. Contract: when the reference
-// distance is <= thetaHigh the exact reference value is returned; otherwise
-// some value > thetaHigh is returned (callers only compare against the
-// threshold band, so the two are indistinguishable).
+// wgramDistanceWithin is wgramDistance with a running-sum early exit against
+// thetaHigh. Contract: when the distance is <= thetaHigh the exact value is
+// returned; otherwise some value > thetaHigh is returned (callers only
+// compare against the threshold band, so the two are indistinguishable).
 //
 // The exit is exact integer arithmetic, no estimate: with running unscaled
 // drift d over o co-present grams and r grams left to scan, every completion
@@ -55,34 +54,17 @@ func hammingPacked(a, b []uint64) int {
 // d*wgramScale >= (thetaHigh+1)*(o+r) no completion can come back under the
 // threshold. If even o+r is below wgramMinOverlap the result is exactly
 // WGramFar. Both shortcuts require thetaHigh < WGramFar (otherwise WGramFar
-// itself is inside the merge band and the full reference loop runs).
+// itself is inside the merge band and wgramDistance runs in full).
 //
 //dnalint:hotpath
 func wgramDistanceWithin(a, b []int32, thetaHigh int) int {
-	n := len(a)
-	d, overlap := 0, 0
 	if thetaHigh >= WGramFar {
 		// Degenerate threshold (user-fixed): WGramFar no longer exceeds the
-		// band, so the shortcuts above are unsound. Reference loop, verbatim.
-		for i := 0; i < n; i++ {
-			if a[i] == wgramAbsent || b[i] == wgramAbsent {
-				continue
-			}
-			overlap++
-			v := int(a[i] - b[i])
-			if v < 0 {
-				v = -v
-			}
-			if v > wgramCap {
-				v = wgramCap
-			}
-			d += v
-		}
-		if overlap < wgramMinOverlap {
-			return WGramFar
-		}
-		return d * wgramScale / overlap
+		// band, so the shortcuts above are unsound.
+		return wgramDistance(a, b)
 	}
+	n := len(a)
+	d, overlap := 0, 0
 	lim := thetaHigh + 1
 	for i := 0; i < n; i++ {
 		av, bv := a[i], b[i]
@@ -143,7 +125,7 @@ func (gi *gramIndex) build(gs gramSet) {
 	}
 }
 
-// signatureInto fills dst (len == len(gs.grams)) with the read's reference
+// signatureInto fills dst (len == len(gs.codes)) with the read's reference
 // []int32 signature — bit-identical to the reference oracle's — in one
 // rolling-hash pass over the read.
 //
@@ -179,7 +161,7 @@ func (gi *gramIndex) signatureInto(gs gramSet, read dna.Seq, dst []int32) {
 	}
 }
 
-// qsigBitsInto fills dst (len == sigWords(len(gs.grams))) with the read's
+// qsigBitsInto fills dst (len == sigWords(len(gs.codes))) with the read's
 // bit-packed q-gram presence signature: bit g set iff the reference
 // signature's entry g is 1.
 //

@@ -31,11 +31,10 @@ func (m SignatureMode) String() string {
 	return "q-gram"
 }
 
-// gramSet is one round's random grams. Grams are kept both as sequences and
-// as 2-bit packed codes so signatures are computed with one rolling-hash
+// gramSet is one round's random grams, kept as 2-bit packed codes (first
+// base most significant) so signatures are computed with one rolling-hash
 // pass over the read instead of one substring scan per gram.
 type gramSet struct {
-	grams []dna.Seq
 	codes []uint32
 	q     int
 	mode  SignatureMode
@@ -49,22 +48,22 @@ const maxRollingQ = 8
 
 // newGramSet samples count random grams of length q.
 func newGramSet(rng *xrand.RNG, mode SignatureMode, count, q int) gramSet {
-	gs := gramSet{mode: mode, q: q, grams: make([]dna.Seq, count), codes: make([]uint32, count)}
-	for i := range gs.grams {
-		g := dna.Random(rng, q)
-		gs.grams[i] = g
-		gs.codes[i] = packGram(g)
-	}
-	return gs
+	return gramSet{mode: mode, q: q, codes: drawGrams(rng, make([]uint32, count), q)}
 }
 
-// packGram encodes a gram as 2 bits per base, first base most significant.
-func packGram(g dna.Seq) uint32 {
-	var c uint32
-	for _, b := range g {
-		c = c<<2 | uint32(b&3)
+// drawGrams fills codes with random grams of length q and returns it. Each
+// code packs q draws of rng.Intn(4), first base most significant, so it is
+// the code of the gram dna.Random(rng, q) draws (pinned by
+// TestGramSetScratchMatchesNewGramSet).
+func drawGrams(rng *xrand.RNG, codes []uint32, q int) []uint32 {
+	for i := range codes {
+		var c uint32
+		for j := 0; j < q; j++ {
+			c = c<<2 | uint32(rng.Intn(dna.NumBases))
+		}
+		codes[i] = c
 	}
-	return c
+	return codes
 }
 
 // wgramAbsent marks a gram that does not occur in the read.
@@ -118,16 +117,25 @@ func (gs gramSet) distance(a, b []int32) int {
 		// after a panic) carries no evidence: never merge on it.
 		return sigMissingFar
 	}
-	d := 0
-	if gs.mode == QGram {
-		for i := range a {
-			if a[i] != b[i] {
-				d++
-			}
-		}
-		return d
+	if gs.mode == WGram {
+		return wgramDistance(a, b)
 	}
-	overlap := 0
+	d := 0
+	for i := range a {
+		if a[i] != b[i] {
+			d++
+		}
+	}
+	return d
+}
+
+// wgramDistance is the WGram signature distance: the scaled mean capped
+// position drift over co-present grams, WGramFar when fewer than
+// wgramMinOverlap grams are co-present.
+//
+//dnalint:hotpath
+func wgramDistance(a, b []int32) int {
+	d, overlap := 0, 0
 	for i := range a {
 		if a[i] == wgramAbsent || b[i] == wgramAbsent {
 			continue

@@ -35,7 +35,7 @@ func TestMissingSignatureNeverMerges(t *testing.T) {
 		// meanDistance: the float32 sentinel must be explicit, finite, and
 		// strictly beyond every comparable value — including the int-path
 		// sentinels — so a straggler with no evidence sorts dead last.
-		mean := make([]float32, len(grams.grams))
+		mean := make([]float32, len(grams.codes))
 		for i, v := range sb {
 			mean[i] = float32(v)
 		}

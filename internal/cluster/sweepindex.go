@@ -206,7 +206,7 @@ func (sw *sweepIndex) meanRow(j int) []float32 {
 	if !sw.meanOK[j] {
 		return nil
 	}
-	G := len(sw.gs.set.grams)
+	G := len(sw.gs.set.codes)
 	return sw.meanBuf[j*G : (j+1)*G]
 }
 
@@ -314,7 +314,7 @@ func (rr *roundRunner) sweepMeanItem(w, i int) {
 	sw := &rr.sweep
 	ws := &sw.ws[w]
 	gs := sw.gs.set
-	G := len(gs.grams)
+	G := len(gs.codes)
 	lo, hi := rr.memberOff[i], rr.memberOff[i+1]
 	n := int(hi - lo)
 	if n > sweepSigReads {
@@ -509,7 +509,7 @@ func (rr *roundRunner) sweepSelect(ws *sweepWorker, i int) (cands []sweepCand, n
 	sw := &rr.sweep
 	gs := sw.gs.set
 	nr := len(rr.roots)
-	sig := ensureInt32(&ws.sig, len(gs.grams))
+	sig := ensureInt32(&ws.sig, len(gs.codes))
 	sw.gs.idx.signatureInto(gs, rr.reads[rr.reps[i]], sig)
 	dtil := sw.screen(ws, sig, nr)
 

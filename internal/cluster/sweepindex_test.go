@@ -66,7 +66,7 @@ func TestSweepEpsilonCoversWorstCaseRows(t *testing.T) {
 		}
 		rng := xrand.New(62)
 		sw := &sweepIndex{}
-		sw.gs.set = gramSet{mode: QGram, grams: make([]dna.Seq, n)}
+		sw.gs.set = gramSet{mode: QGram, codes: make([]uint32, n)}
 		sw.meanBuf = make([]float32, rows*n)
 		sw.meanOK = make([]bool, rows)
 		sw.planes = make([]planeRow, rows)
@@ -136,7 +136,7 @@ func TestSweepEpsilonCoversWorstCaseRows(t *testing.T) {
 			return float32(k) / float32(c)
 		}
 		sw := &sweepIndex{}
-		sw.gs.set = gramSet{mode: WGram, grams: make([]dna.Seq, n)}
+		sw.gs.set = gramSet{mode: WGram, codes: make([]uint32, n)}
 		sw.meanBuf = make([]float32, rows*n)
 		sw.meanOK = make([]bool, rows)
 		sig := make([]int32, n)
@@ -402,7 +402,7 @@ func TestPlanesMatchSignatureSums(t *testing.T) {
 	for q := 3; q <= 6; q++ {
 		gs := newGramSet(xrand.Derive(63, uint64(q)), QGram, G, q)
 		for g := 5; g < G; g += 7 { // repeated codes, beyond the draw's own
-			gs.grams[g], gs.codes[g] = gs.grams[g-5], gs.codes[g-5]
+			gs.codes[g] = gs.codes[g-5]
 		}
 		for size := 1; size <= 8; size++ {
 			// Mutated copies of one strand, so gram counts spread over 0..n.

@@ -55,24 +55,19 @@ func calibPresenceOf(read dna.Seq, pb *calibPresence) int {
 // median (different-strand pairs). A fixed fraction of the read length is
 // unsafe: for short strands the two distributions sit close together, and
 // for long ones it wastes the available gap.
+//
+// Phase 2's nearest-neighbour search screens pairs with the presence form of
+// the q-gram counting lemma (Ukkonen): an edit operation touches at most
+// calibQ gram positions of a, the positions touched by different vanished
+// codes are disjoint, and a distinct code of a vanishes only if all its
+// occurrences are touched — so if ed(a,b) <= k, at most k*calibQ distinct
+// codes of a are absent from b and the presence sets share at least
+// da - k*calibQ codes (da = a's distinct-gram count). The screen is four
+// AND+popcount words per pair; calibNearestScreened explains why the
+// screened search resolves calibNearestScan's exact value.
+// TestCalibScreenMatchesScan pins the two equal; TestCalibFilterSoundness
+// checks the lemma directly.
 func autoEditThreshold(reads []dna.Seq, readLen int, rng *xrand.RNG) int {
-	return autoEditThresholdOpt(reads, readLen, rng, true)
-}
-
-// autoEditThresholdOpt is autoEditThreshold with the q-gram counting filter
-// switchable. filtered=false is the reference: phase 2 scans every pair with
-// a banded edit-distance call. filtered=true screens pairs with the presence
-// form of the q-gram counting lemma (Ukkonen): an edit operation touches at
-// most calibQ gram positions of a, the positions touched by different
-// vanished codes are disjoint, and a distinct code of a vanishes only if all
-// its occurrences are touched — so if ed(a,b) <= k, at most k*calibQ
-// distinct codes of a are absent from b and the presence sets share at
-// least da - k*calibQ codes (da = a's distinct-gram count). The screen is
-// four AND+popcount words per pair; calibNearestScreened explains why the
-// screened search resolves the reference scan's exact value.
-// TestAutoEditThresholdFilterIdentity pins the two variants equal;
-// TestCalibFilterSoundness checks the lemma directly.
-func autoEditThresholdOpt(reads []dna.Seq, readLen int, rng *xrand.RNG, filtered bool) int {
 	bound := readLen * 3 / 5
 	if bound < 4 {
 		bound = 4
@@ -116,22 +111,18 @@ func autoEditThresholdOpt(reads []dna.Seq, readLen int, rng *xrand.RNG, filtered
 	sort.Ints(all)
 	median := all[len(all)/2] // dominated by different-strand pairs
 
-	// Phase 2: each probe's nearest neighbour over the full sample. The
-	// screened variant resolves the same value through the counting filter
-	// (see calibNearestScreened); probes it cannot resolve — and the
-	// reference variant always — pay the verbatim sequential scan.
-	var sampleBits []calibPresence
-	if filtered {
-		sampleBits = make([]calibPresence, nSample)
-		for j, sj := range sample {
-			calibPresenceOf(reads[sj], &sampleBits[j])
-		}
+	// Phase 2: each probe's nearest neighbour over the full sample, resolved
+	// through the counting filter (see calibNearestScreened); probes it
+	// cannot resolve pay the sequential scan.
+	sampleBits := make([]calibPresence, nSample)
+	for j, sj := range sample {
+		calibPresenceOf(reads[sj], &sampleBits[j])
 	}
 	var pb calibPresence
 	var nearest []int
 	for _, pi := range probes {
 		nn, done := 0, false
-		if filtered && median > 2 {
+		if median > 2 {
 			nn, done = calibNearestScreened(reads, pi, sample, sampleBits, median, &pb, &es)
 		}
 		if !done {
@@ -158,8 +149,8 @@ func autoEditThresholdOpt(reads []dna.Seq, readLen int, rng *xrand.RNG, filtered
 // da - band*calibQ high enough that different-strand pairs screen out.
 const calibScreenBand = 12
 
-// calibNearestScan is the reference phase-2 inner loop, verbatim: scan the
-// sample in order with a shrinking banded bound, stopping once nn <= 2.
+// calibNearestScan is phase 2's reference inner loop: scan the sample in
+// order with a shrinking banded bound, stopping once nn <= 2.
 func calibNearestScan(reads []dna.Seq, pi int, sample []int, median int, es *edit.Scratch) int {
 	nn := median // nothing above the diff median can be the same-strand mode
 	for _, sj := range sample {
@@ -362,75 +353,58 @@ func autoThresholds(ctx context.Context, reads []dna.Seq, grams gramSet, rng *xr
 }
 
 // autoThresholdRowsFast is the reference calibration (reference_test.go) on
-// the fast-path signature kernels: one shared chain index, flat signature
-// backing, and — in QGram mode — bit-packed presence rows scored with
-// hammingPacked, which is exactly gramSet.distance on 0/1 signatures. WGram
-// rows use signatureInto (bit-identical to the reference signature) and the
-// reference distance, since the histogram needs the exact values, not a
-// thresholded band. The ok flags replace the reference's nil-signature
-// sentinel: set last in the signature item, so a panic-contained signature
-// leaves its pairs at -1.
+// the fast-path signature kernels: one shared chain index and one flat
+// signature row per probe, then per sample read. QGram rows are bit-packed
+// presence words scored with hammingPacked, which is exactly
+// gramSet.distance on 0/1 signatures; WGram rows are signatureInto's
+// (bit-identical to the reference signature) scored with wgramDistance,
+// since the histogram needs the exact values, not a thresholded band. The
+// ok flags replace the reference's nil-signature sentinel: set last in the
+// signature item, so a panic-contained signature leaves its pairs at -1.
 func autoThresholdRowsFast(ctx context.Context, reads []dna.Seq, grams gramSet, probes, sample []int, rows []int, workers int) {
 	nProbe, nSample := len(probes), len(sample)
 	var gi gramIndex
 	gi.build(grams)
-	probeOK := make([]bool, nProbe)
-	sampleOK := make([]bool, nSample)
+	n := nProbe + nSample
+	var bitRows []uint64
+	var sigRows []int32
+	g := len(grams.codes) // row stride
 	if grams.mode == QGram {
-		qw := sigWords(len(grams.grams))
-		probeBits := make([]uint64, nProbe*qw)
-		sampleBits := make([]uint64, nSample*qw)
-		exec.ParallelForW(ctx, workers, nProbe+nSample, func(_, i int) {
-			if i < nProbe {
-				gi.qsigBitsInto(grams, reads[probes[i]], probeBits[i*qw:(i+1)*qw])
-				probeOK[i] = true
-			} else {
-				j := i - nProbe
-				gi.qsigBitsInto(grams, reads[sample[j]], sampleBits[j*qw:(j+1)*qw])
-				sampleOK[j] = true
-			}
-		})
-		exec.ParallelForW(ctx, workers, nProbe, func(_, i int) {
-			if !probeOK[i] {
-				return
-			}
-			row := rows[i*nSample : (i+1)*nSample]
-			pi := probes[i]
-			pbits := probeBits[i*qw : (i+1)*qw]
-			for j, sj := range sample {
-				if pi == sj || !sampleOK[j] {
-					continue
-				}
-				row[j] = hammingPacked(pbits, sampleBits[j*qw:(j+1)*qw])
-			}
-		})
-		return
+		g = sigWords(g)
+		bitRows = make([]uint64, n*g)
+	} else {
+		sigRows = make([]int32, n*g)
 	}
-	g := len(grams.grams)
-	probeSigs := make([]int32, nProbe*g)
-	sampleSigs := make([]int32, nSample*g)
-	exec.ParallelForW(ctx, workers, nProbe+nSample, func(_, i int) {
+	ok := make([]bool, n)
+	exec.ParallelForW(ctx, workers, n, func(_, i int) {
+		var read dna.Seq
 		if i < nProbe {
-			gi.signatureInto(grams, reads[probes[i]], probeSigs[i*g:(i+1)*g])
-			probeOK[i] = true
+			read = reads[probes[i]]
 		} else {
-			j := i - nProbe
-			gi.signatureInto(grams, reads[sample[j]], sampleSigs[j*g:(j+1)*g])
-			sampleOK[j] = true
+			read = reads[sample[i-nProbe]]
 		}
+		if grams.mode == QGram {
+			gi.qsigBitsInto(grams, read, bitRows[i*g:(i+1)*g])
+		} else {
+			gi.signatureInto(grams, read, sigRows[i*g:(i+1)*g])
+		}
+		ok[i] = true
 	})
 	exec.ParallelForW(ctx, workers, nProbe, func(_, i int) {
-		if !probeOK[i] {
+		if !ok[i] {
 			return
 		}
 		row := rows[i*nSample : (i+1)*nSample]
 		pi := probes[i]
-		psig := probeSigs[i*g : (i+1)*g]
 		for j, sj := range sample {
-			if pi == sj || !sampleOK[j] {
-				continue
+			k := nProbe + j
+			switch {
+			case pi == sj || !ok[k]:
+			case grams.mode == QGram:
+				row[j] = hammingPacked(bitRows[i*g:(i+1)*g], bitRows[k*g:(k+1)*g])
+			default:
+				row[j] = wgramDistance(sigRows[i*g:(i+1)*g], sigRows[k*g:(k+1)*g])
 			}
-			row[j] = grams.distance(psig, sampleSigs[j*g:(j+1)*g])
 		}
 	})
 }

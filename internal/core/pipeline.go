@@ -148,15 +148,14 @@ func (c ShardedClusterer) ClusterVolume(ctx context.Context, volume uint32, read
 }
 
 // AlgorithmReconstructor adapts a recon.Algorithm to the Reconstructor
-// interface with a worker pool.
+// interface with a worker pool of GOMAXPROCS workers.
 type AlgorithmReconstructor struct {
 	Algorithm recon.Algorithm
-	Workers   int
 }
 
 // ReconstructAll implements Reconstructor.
 func (a AlgorithmReconstructor) ReconstructAll(ctx context.Context, clusters [][]dna.Seq, targetLen int) ([]dna.Seq, error) {
-	return recon.ReconstructAllContext(ctx, clusters, targetLen, a.Algorithm, a.Workers)
+	return recon.ReconstructAllContext(ctx, clusters, targetLen, a.Algorithm, 0)
 }
 
 // Name implements Reconstructor.
@@ -309,10 +308,7 @@ func (p *Pipeline) RunContext(ctx context.Context, data []byte, opts RunOptions)
 	simSt.AddOut(int64(len(reads)))
 	res.Reads = len(reads)
 
-	seqs := make([]dna.Seq, len(reads))
-	for i, r := range reads {
-		seqs[i] = r.Seq
-	}
+	seqs := sim.Sequences(reads)
 	cluSt := reg.Stage(stageCluster)
 	cluSt.AddIn(int64(len(seqs)))
 	var clu cluster.Result

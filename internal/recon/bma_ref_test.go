@@ -157,12 +157,12 @@ func variantClusters(rng *xrand.RNG, cluster []dna.Seq) map[string][]dna.Seq {
 	return map[string][]dna.Seq{"simulated": cluster, "truncated": truncated, "empty-read": withEmpty}
 }
 
-// TestBMAFastPathMatchesReference pins bmaForward, DoubleSidedBMA, BMA and
-// Adaptive's BMA pre-pass to the one-position reference loop on simulated
-// clusters at every shipped operating point, across cluster sizes 1–12,
-// lookahead windows 1–5 and target lengths within two of the strand length.
-// Adaptive is checked at its default window and the strand length only,
-// because a rejected pre-pass costs a POA alignment.
+// TestBMAFastPathMatchesReference pins bmaForward and doubleSided to the
+// one-position reference loop on simulated clusters at every shipped
+// operating point, across cluster sizes 1–12, lookahead windows 1–5 and
+// target lengths within two of the strand length. BMA and DoubleSidedBMA are
+// checked at the shipped window, and Adaptive's BMA pre-pass there and at
+// the strand length only, because a rejected pre-pass costs a POA alignment.
 func TestBMAFastPathMatchesReference(t *testing.T) {
 	for _, pt := range referencePoints {
 		t.Run(fmt.Sprintf("%dnt-%dreads-%g", pt.length, pt.reads, pt.rate), func(t *testing.T) {
@@ -178,7 +178,7 @@ func TestBMAFastPathMatchesReference(t *testing.T) {
 				for shape, reads := range variantClusters(rng, cluster) {
 					for w := 1; w <= 5; w++ {
 						for targetLen := pt.length - 2; targetLen <= pt.length+2; targetLen++ {
-							checkAgainstReference(t, &sc, reads, targetLen, w, w == 3 && targetLen == pt.length,
+							checkAgainstReference(t, &sc, reads, targetLen, w, targetLen == pt.length,
 								fmt.Sprintf("size=%d shape=%s w=%d targetLen=%d", size, shape, w, targetLen))
 						}
 					}
@@ -188,26 +188,32 @@ func TestBMAFastPathMatchesReference(t *testing.T) {
 	}
 }
 
-// checkAgainstReference compares every BMA-based entry point on one cluster
-// (Adaptive only when asked) with the reference, reusing sc across calls as
-// a worker would.
+// checkAgainstReference compares the BMA kernels at window w on one cluster
+// with the reference, and at the shipped window every BMA-based entry point
+// (Adaptive only when asked), reusing sc across calls as a worker would.
 func checkAgainstReference(t *testing.T, sc *Scratch, reads []dna.Seq, targetLen, w int, adaptive bool, label string) {
 	t.Helper()
 	want := bmaForwardRef(new(Scratch), reads, targetLen, w)
 	if got := bmaForward(sc, make(dna.Seq, 0, targetLen), reads, targetLen, w); !got.Equal(want) {
 		t.Fatalf("%s: bmaForward diverges from the reference\n got=%v\nwant=%v", label, got, want)
 	}
-	if got := (BMA{Lookahead: w}).ReconstructScratch(sc, reads, targetLen); !got.Equal(want) {
+	wantD := dbmaRef(reads, targetLen, w)
+	if got := doubleSided(sc, reads, targetLen, w); !got.Equal(wantD) {
+		t.Fatalf("%s: doubleSided diverges from the reference\n got=%v\nwant=%v", label, got, wantD)
+	}
+	if w != lookahead {
+		return
+	}
+	if got := (BMA{}).ReconstructScratch(sc, reads, targetLen); !got.Equal(want) {
 		t.Fatalf("%s: BMA diverges from the reference\n got=%v\nwant=%v", label, got, want)
 	}
+	if got := (DoubleSidedBMA{}).ReconstructScratch(sc, reads, targetLen); !got.Equal(wantD) {
+		t.Fatalf("%s: DoubleSidedBMA diverges from the reference\n got=%v\nwant=%v", label, got, wantD)
+	}
 	if adaptive {
-		if got, usedPOA := (Adaptive{Lookahead: w}).reconstruct(sc, reads, targetLen); !usedPOA && !got.Equal(want) {
+		if got, usedPOA := (Adaptive{}).reconstruct(sc, reads, targetLen); !usedPOA && !got.Equal(want) {
 			t.Fatalf("%s: Adaptive's accepted BMA pre-pass diverges from the reference\n got=%v\nwant=%v", label, got, want)
 		}
-	}
-	wantD := dbmaRef(reads, targetLen, w)
-	if got := (DoubleSidedBMA{Lookahead: w}).ReconstructScratch(sc, reads, targetLen); !got.Equal(wantD) {
-		t.Fatalf("%s: DoubleSidedBMA diverges from the reference\n got=%v\nwant=%v", label, got, wantD)
 	}
 }
 

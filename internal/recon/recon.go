@@ -117,22 +117,16 @@ func growInts(buf []int, n int) []int {
 	return buf[:n]
 }
 
+// lookahead is the BMA window w (§VII-A): the number of upcoming consensus
+// bases a disagreement is scored against to classify it as substitution,
+// insertion or deletion.
+const lookahead = 3
+
 // BMA is the baseline BMA-lookahead algorithm (§VII-A).
-type BMA struct {
-	// Lookahead is the window used to classify a disagreement as
-	// substitution, insertion or deletion (default 3).
-	Lookahead int
-}
+type BMA struct{}
 
 // Name implements Algorithm.
 func (BMA) Name() string { return "bma" }
-
-func (b BMA) lookahead() int {
-	if b.Lookahead <= 0 {
-		return 3
-	}
-	return b.Lookahead
-}
 
 // Reconstruct implements Algorithm.
 func (b BMA) Reconstruct(reads []dna.Seq, targetLen int) dna.Seq {
@@ -141,11 +135,11 @@ func (b BMA) Reconstruct(reads []dna.Seq, targetLen int) dna.Seq {
 }
 
 // ReconstructScratch implements ScratchReconstructor.
-func (b BMA) ReconstructScratch(sc *Scratch, reads []dna.Seq, targetLen int) dna.Seq {
+func (BMA) ReconstructScratch(sc *Scratch, reads []dna.Seq, targetLen int) dna.Seq {
 	if degenerate(reads, targetLen) {
 		return nil
 	}
-	return bmaForward(sc, make(dna.Seq, 0, targetLen), reads, targetLen, b.lookahead())
+	return bmaForward(sc, make(dna.Seq, 0, targetLen), reads, targetLen, lookahead)
 }
 
 // bmaForward appends up to n bases of the left-to-right BMA-lookahead
@@ -343,9 +337,7 @@ func reverseInPlace(s dna.Seq) {
 
 // DoubleSidedBMA reconstructs the left half left-to-right and the right half
 // right-to-left, joining in the middle (§VII-B).
-type DoubleSidedBMA struct {
-	Lookahead int
-}
+type DoubleSidedBMA struct{}
 
 // Name implements Algorithm.
 func (DoubleSidedBMA) Name() string { return "double-sided-bma" }
@@ -356,15 +348,20 @@ func (d DoubleSidedBMA) Reconstruct(reads []dna.Seq, targetLen int) dna.Seq {
 	return d.ReconstructScratch(&sc, reads, targetLen)
 }
 
-// ReconstructScratch implements ScratchReconstructor. The per-read reversal
-// buffers live in per-worker scratch slots (sc.reversed), and both halves
-// are appended into one consensus buffer, so with a warm scratch the
-// consensus is the call's only allocation.
-func (d DoubleSidedBMA) ReconstructScratch(sc *Scratch, reads []dna.Seq, targetLen int) dna.Seq {
+// ReconstructScratch implements ScratchReconstructor.
+func (DoubleSidedBMA) ReconstructScratch(sc *Scratch, reads []dna.Seq, targetLen int) dna.Seq {
 	if degenerate(reads, targetLen) {
 		return nil
 	}
-	w := BMA{Lookahead: d.Lookahead}.lookahead()
+	return doubleSided(sc, reads, targetLen, lookahead)
+}
+
+// doubleSided is the DoubleSidedBMA consensus at window w for a
+// non-degenerate cluster. The per-read reversal buffers live in per-worker
+// scratch slots (sc.reversed), and both halves are appended into one
+// consensus buffer, so with a warm scratch the consensus is the call's only
+// allocation.
+func doubleSided(sc *Scratch, reads []dna.Seq, targetLen, w int) dna.Seq {
 	leftLen := (targetLen + 1) / 2
 	out := bmaForward(sc, make(dna.Seq, 0, targetLen), reads, leftLen, w)
 	if cap(sc.reversed) < len(reads) {
@@ -419,14 +416,17 @@ func (NW) ReconstructScratch(sc *Scratch, reads []dna.Seq, targetLen int) dna.Se
 // bit-parallel kernels: run the cheap kernel first, verify, and only pay for
 // the expensive one when verification fails. The BMA consensus is accepted
 // when it reaches the full target length and every non-empty read lies
-// within MaxDist edits of it (checked with the thresholded bit-parallel
-// Within kernel, which bails early on disagreeing reads). Clusters that
-// pass never pay the O(nodes·m) graph alignment; how many pass depends on
-// the noise. In one batch run at 492 nt, 0.1 % IID error and coverage 3,
-// 12 of 11 664 clusters went to POA (0.1 %). At the Table III point (128 nt,
-// 6 % IID error, Poisson coverage 10) 7 294 of 10 047 did (73 %): the
-// default radius there, max(3, 128/12) = 10 edits, is close to the 7.7
-// edits a read carries on average.
+// within max(3, targetLen/12) edits of it (checked with the thresholded
+// bit-parallel Within kernel, which bails early on disagreeing reads). The
+// radius sits comfortably above the edits a read carries at the simulator's
+// operating points when the consensus is right, and far below the distance
+// to a consensus that went off the rails. Clusters that pass never pay the
+// O(nodes·m) graph alignment; how many pass depends on the noise. In one
+// batch run at 492 nt, 0.1 % IID error and coverage 3, 12 of 11 664
+// clusters went to POA (0.1 %). At the Table III point (128 nt, 6 % IID
+// error, Poisson coverage 10) 7 294 of 10 047 did (73 %): the radius there,
+// max(3, 128/12) = 10 edits, is close to the 7.7 edits a read carries on
+// average.
 //
 // The output is bit-identical to whichever algorithm the dispatch selected:
 // accepted clusters return exactly BMA's consensus, rejected ones exactly
@@ -434,15 +434,7 @@ func (NW) ReconstructScratch(sc *Scratch, reads []dna.Seq, targetLen int) dna.Se
 // BMA output, so Adaptive is never less accurate than BMA; on clusters where
 // BMA and NW genuinely differ, rejection hands the cluster to the stronger
 // NW reconstruction.
-type Adaptive struct {
-	// Lookahead is the BMA lookahead window (default 3).
-	Lookahead int
-	// MaxDist is the per-read agreement radius in edits. <= 0 uses
-	// max(3, targetLen/12) — comfortably above the edits a read carries at
-	// the simulator's operating points when the consensus is right, and far
-	// below the distance to a consensus that went off the rails.
-	MaxDist int
-}
+type Adaptive struct{}
 
 // Name implements Algorithm.
 func (Adaptive) Name() string { return "adaptive" }
@@ -463,28 +455,15 @@ func (a Adaptive) ReconstructScratch(sc *Scratch, reads []dna.Seq, targetLen int
 // (false: the BMA consensus passed the agreement check, or the cluster was
 // degenerate). The second return exists for the differential fuzzer, which
 // must compare against the reference implementation of the selected path.
-func (a Adaptive) reconstruct(sc *Scratch, reads []dna.Seq, targetLen int) (dna.Seq, bool) {
+func (Adaptive) reconstruct(sc *Scratch, reads []dna.Seq, targetLen int) (dna.Seq, bool) {
 	if degenerate(reads, targetLen) {
 		return nil, false
 	}
-	w := BMA{Lookahead: a.Lookahead}.lookahead()
-	cons := bmaForward(sc, make(dna.Seq, 0, targetLen), reads, targetLen, w)
-	if a.agrees(sc, reads, cons, targetLen) {
+	cons := bmaForward(sc, make(dna.Seq, 0, targetLen), reads, targetLen, lookahead)
+	if agrees(sc, reads, cons, targetLen) {
 		return cons, false
 	}
 	return NW{}.ReconstructScratch(sc, reads, targetLen), true
-}
-
-// maxDist returns the effective agreement radius for a target length.
-func (a Adaptive) maxDist(targetLen int) int {
-	if a.MaxDist > 0 {
-		return a.MaxDist
-	}
-	k := targetLen / 12
-	if k < 3 {
-		k = 3
-	}
-	return k
 }
 
 // agrees is the quick agreement check: the BMA consensus must reach the full
@@ -492,11 +471,11 @@ func (a Adaptive) maxDist(targetLen int) int {
 // signal) and every non-empty read must be within the agreement radius.
 // Empty reads carry no signal and are ignored, matching how the vote treats
 // them.
-func (a Adaptive) agrees(sc *Scratch, reads []dna.Seq, cons dna.Seq, targetLen int) bool {
+func agrees(sc *Scratch, reads []dna.Seq, cons dna.Seq, targetLen int) bool {
 	if len(cons) != targetLen {
 		return false
 	}
-	k := a.maxDist(targetLen)
+	k := max(3, targetLen/12)
 	for _, r := range reads {
 		if len(r) == 0 {
 			continue

@@ -115,7 +115,7 @@ func decodeNearCopyCluster(data []byte) ([]dna.Seq, int) {
 //     exhaustive-DP kernel (SetReferenceDP).
 //  3. Every ScratchReconstructor's scratch-threaded path matches its plain
 //     per-call path, with one Scratch reused across all of them.
-//  4. bmaForward and DoubleSidedBMA, with their unanimous-run fast path,
+//  4. bmaForward and doubleSided, with their unanimous-run fast path,
 //     match bmaForwardRef and dbmaRef at a lookahead window of 1–5 picked
 //     from the input length.
 func FuzzReconDispatch(f *testing.F) {
@@ -145,7 +145,7 @@ func FuzzReconDispatch(f *testing.F) {
 		case usedPOA:
 			want = NW{}.Reconstruct(reads, targetLen)
 		case !degenerate(reads, targetLen):
-			want = bmaForwardRef(new(Scratch), reads, targetLen, 3)
+			want = bmaForwardRef(new(Scratch), reads, targetLen, lookahead)
 		}
 		if !got.Equal(want) {
 			t.Fatalf("adaptive (POA=%v) diverges from the selected reference\n got=%v\nwant=%v", usedPOA, got, want)
@@ -163,8 +163,8 @@ func FuzzReconDispatch(f *testing.F) {
 			if got, want := bmaForward(&sc, make(dna.Seq, 0, targetLen), reads, targetLen, w), bmaForwardRef(new(Scratch), reads, targetLen, w); !got.Equal(want) {
 				t.Fatalf("bmaForward (w=%d) diverges from the reference\n got=%v\nwant=%v", w, got, want)
 			}
-			if got, want := (DoubleSidedBMA{Lookahead: w}).ReconstructScratch(&sc, reads, targetLen), dbmaRef(reads, targetLen, w); !got.Equal(want) {
-				t.Fatalf("DoubleSidedBMA (w=%d) diverges from the reference\n got=%v\nwant=%v", w, got, want)
+			if got, want := doubleSided(&sc, reads, targetLen, w), dbmaRef(reads, targetLen, w); !got.Equal(want) {
+				t.Fatalf("doubleSided (w=%d) diverges from the reference\n got=%v\nwant=%v", w, got, want)
 			}
 		}
 
